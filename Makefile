@@ -1,7 +1,8 @@
 # Build, verify and benchmark the ACM reproduction.
 #
-#   make check       # everything CI runs: fmt, vet, lint, build, race tests, bench gate
+#   make check       # everything CI runs: fmt, vet, lint, build, race tests, perfbench, bench gate
 #   make test        # plain test suite
+#   make perfbench   # vet + self-tests of the perfbench module (its own go.mod)
 #   make race        # full suite under the race detector
 #   make bench       # the complete evaluation as benchmarks
 #   make bench-smoke # one cheap iteration of the Figure 3 benchmarks
@@ -19,9 +20,9 @@ GO ?= go
 # CI can never record different benchmark sets.
 BENCH_GATE = $(GO) test -bench='RegionSharded|Figure3|GlobalDirector|GlobalLatency|CohortPopulation|Megaclients' -benchtime=1x -benchmem -run='^$$' .
 
-.PHONY: check fmt vet lint build test test-repeat race bench bench-smoke bench-json bench-baseline docs docs-check metrics-lint
+.PHONY: check fmt vet lint build test test-repeat race perfbench bench bench-smoke bench-json bench-baseline docs docs-check metrics-lint
 
-check: fmt vet lint build race test-repeat bench-json metrics-lint docs-check
+check: fmt vet lint build race test-repeat perfbench bench-json metrics-lint docs-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -53,6 +54,12 @@ test-repeat:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is a separate module (replace repro => ../), so the root
+# `go build ./... && go test ./...` never compiles it; this keeps the
+# exported API it calls from drifting under it.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

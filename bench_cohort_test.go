@@ -122,7 +122,7 @@ func runMegaclientsScenarioBench(b *testing.B, name string, mutate func(*experim
 // clients (1% tracers) against the 16-shard megaregion on the parallel event
 // loop, 30 simulated minutes — once per iteration.  Its counterpart below
 // runs the same pool, engine and horizon with the ordinary 2x10^3-browser
-// population (megaregion-eventloop), so the pair recorded in
+// population (megaregion-sharded), so the pair recorded in
 // BENCH_baseline.json is the compression claim itself: 500x the effective
 // clients within 2x the ns/op and the same order of B/op.
 func BenchmarkMegaclients(b *testing.B) { runMegaclientsScenarioBench(b, "megaclients", nil) }
@@ -130,7 +130,7 @@ func BenchmarkMegaclients(b *testing.B) { runMegaclientsScenarioBench(b, "megacl
 // BenchmarkMegaclientsBaseline_2e3 is the individually simulated reference
 // population on the identical deployment (see BenchmarkMegaclients).
 func BenchmarkMegaclientsBaseline_2e3(b *testing.B) {
-	runMegaclientsScenarioBench(b, "megaregion-eventloop", nil)
+	runMegaclientsScenarioBench(b, "megaregion-sharded", nil)
 }
 
 // BenchmarkMegaclients_Traced is BenchmarkMegaclients with the span layer

@@ -61,8 +61,8 @@ func main() {
 		interval    = flag.Float64("interval", 60, "control loop interval in seconds")
 		shards      = flag.Int("shards", 0, "split every region's VM pool across this many engine shards (0 keeps each scenario's own setting)")
 		tickWork    = flag.Int("tick-workers", 0, "fan the per-shard control-tick phase out to this many goroutines, capped at the shard count (1 = sequential, 0 keeps each scenario's own setting)")
-		eventWork   = flag.Int("event-workers", -1, "run the sharded event loop with this many shard-loop goroutines (0 forces the serial engine, >= 1 selects the parallel event loop; byte-identical across all values >= 1; -1 keeps each scenario's own setting)")
-		gslbPol     = flag.String("gslb-policy", "", "global-traffic-director routing policy: static, rr, leastload, failover or latency (overrides the scenario's own setting; GSLB deployments always run on the event loop)")
+		eventWork   = flag.Int("event-workers", 0, "run the event loop's shard loops on this many goroutines (1 = inline, 0 keeps each scenario's own setting; the output is byte-identical for every value)")
+		gslbPol     = flag.String("gslb-policy", "", "global-traffic-director routing policy: static, rr, leastload, failover or latency (overrides the scenario's own setting)")
 		rttSpec     = flag.String("rtt", "", "per-stream round-trip matrix for latency-aware routing, milliseconds per deployed region: \"global=60,120;americas=80,140\" (overrides the scenario's own RTT rows)")
 		mix         = flag.String("mix", "browsing", "TPC-W mix: browsing, shopping or ordering")
 		csvPath     = flag.String("csv", "", "write all recorded series to this CSV file")
@@ -318,19 +318,23 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 			scenario.VMC.TickWorkers = tickWorkers
 		}
 	}
-	// -event-workers switches the engine: 0 forces the serial single-queue
-	// engine, >= 1 the sharded event loop (one sub-engine per region shard,
-	// cross-shard mailboxes) with that many shard-loop goroutines.  Results
-	// are byte-identical across every value >= 1; the serial engine's bytes
-	// differ because the event loop epoch-quantises cross-shard effects.
-	if explicit["event-workers"] && eventWorkers >= 0 {
-		scenario.EventWorkers = eventWorkers
+	// -event-workers picks the event loop's shard-loop goroutine count the
+	// same way: 0 keeps the scenario's own setting, anything >= 1 overrides
+	// it (1 runs the shard loops inline).  The output is byte-identical
+	// either way.
+	if explicit["event-workers"] {
+		if eventWorkers < 0 {
+			return fmt.Errorf("-event-workers must be >= 0, got %d", eventWorkers)
+		}
+		if eventWorkers > 0 {
+			scenario.EventWorkers = eventWorkers
+		}
 	}
 	// -gslb-policy overrides the global traffic director's routing policy.
 	// The name is validated up front so a typo produces the list of valid
 	// choices, and the scenario must actually carry global traffic —
-	// enabling a director on a purely regional scenario would silently move
-	// it onto the epochal engine and change its pinned bytes for nothing.
+	// enabling a director on a purely regional scenario would add health
+	// probes and series to its pinned bytes with nothing to route.
 	if gslbPolicy != "" {
 		kind, err := gslb.ParsePolicy(gslbPolicy)
 		if err != nil {

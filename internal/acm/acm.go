@@ -5,8 +5,9 @@
 // election among them (election), the TPC-W client populations (workload) and
 // the leader-side closed control loop with the load-balancing policies
 // (core).  A Manager owns one simulated deployment and runs it on the
-// discrete-event engine, producing the time series (RMTTF, workload fractions
-// f_i, client response time) that the paper's figures plot.
+// sharded discrete-event engine (eventloop.go), producing the time series
+// (RMTTF, workload fractions f_i, client response time) that the paper's
+// figures plot.
 package acm
 
 import (
@@ -104,13 +105,11 @@ type Config struct {
 	// been running before the measurements started).  Negative disables the
 	// stagger; zero selects the default of 0.5.
 	InitialAgeSpread float64
-	// EventWorkers switches the deployment onto the sharded event loop (see
-	// eventloop.go): every region shard becomes its own sub-engine and the
-	// shard loops run on up to EventWorkers goroutines in lockstep epochs.
-	// Zero keeps the serial single-queue engine, byte-identical to the
-	// pre-event-loop behaviour; any value >= 1 selects the epochal engine,
-	// whose output is byte-identical across all worker counts (1 runs the
-	// shard loops inline).
+	// EventWorkers is the number of goroutines the sharded event loop (see
+	// eventloop.go) runs its shard loops on: every region shard is its own
+	// sub-engine and the loops advance in lockstep epochs.  The output is
+	// byte-identical for every value; 0 and 1 both run the shard loops
+	// inline.
 	EventWorkers int
 	// EventEpoch is the lockstep epoch width of the sharded event loop
 	// (simclock.DefaultEpoch when zero).  Cross-shard mailbox traffic is
@@ -120,10 +119,7 @@ type Config struct {
 	// GSLB enables the global traffic director: a gslb.Director sits between
 	// globally attached client populations and the regions, routing each
 	// request according to the configured policy and a health probe sampled
-	// on the control timeline.  The zero value disables it.  A GSLB
-	// deployment always runs on the sharded event loop (global routing
-	// crosses region sub-engines), so EventWorkers = 0 is promoted to 1 —
-	// the inline epochal run with identical bytes.
+	// on the control timeline.  The zero value disables it.
 	GSLB gslb.Config
 	// GlobalClients is the number of emulated browsers attached to the
 	// director instead of a fixed region; their requests enter whichever
@@ -189,9 +185,7 @@ type Config struct {
 	TraceSampleFraction float64
 	// FlightRecorder enables the engine flight recorder: per-epoch per-shard
 	// busy/idle/mailbox-drain accounting in sim-time plus control-tick phase
-	// timings, recorded at epoch barriers on the control timeline.  Requires
-	// the sharded event loop (EventWorkers >= 1, or a GSLB deployment, which
-	// is always promoted onto it).
+	// timings, recorded at epoch barriers on the control timeline.
 	FlightRecorder bool
 }
 
@@ -217,19 +211,13 @@ func (c Config) withDefaults() Config {
 	if c.InitialAgeSpread < 0 {
 		c.InitialAgeSpread = 0
 	}
-	if c.EventWorkers < 0 {
-		c.EventWorkers = 0
+	if c.EventWorkers < 1 {
+		c.EventWorkers = 1
 	}
 	if c.TracerFraction == 0 {
 		c.TracerFraction = 0.01
 	}
-	if c.GSLB.Enabled() && c.EventWorkers == 0 {
-		// Global routing crosses region sub-engines, so a GSLB deployment
-		// always runs on the epochal engine; 0 selects the inline (1-worker)
-		// run, whose bytes are identical to every other worker count.
-		c.EventWorkers = 1
-	}
-	if c.EventWorkers > 0 && c.EventEpoch <= 0 {
+	if c.EventEpoch <= 0 {
 		c.EventEpoch = simclock.DefaultEpoch
 	}
 	return c
@@ -238,18 +226,13 @@ func (c Config) withDefaults() Config {
 // Manager is one assembled ACM deployment.
 type Manager struct {
 	cfg Config
-	eng *simclock.Engine
+	eng *simclock.Engine // the event loop's control timeline
 
 	regions     []*cloudsim.Region
 	regionNames []string
 	regionIndex map[string]int
 	vmcs        map[string]*pcam.VMC
-	el          *eventLoop // non-nil when EventWorkers >= 1 (sharded event loop)
-	populations map[string]*workload.Population
-	surges      map[string]*workload.Population
-	surgeAt     map[string]simclock.Duration
-	cohorts     []*workload.CohortPopulation // serial engine only; the event loop keeps per-shard cohorts
-	metrics     *workload.Metrics
+	el          *eventLoop
 	net         *overlay.Network
 	cluster     *election.Cluster
 	loop        *core.Loop
@@ -260,7 +243,6 @@ type Manager struct {
 	plane       *gossip.Plane            // non-nil when GossipReplicas > 0
 	tracer      *tracing.Tracer          // non-nil when TraceSampleFraction > 0
 	flight      *simclock.FlightRecorder // non-nil when Config.FlightRecorder
-	arrivals    []*workload.VaryingOpenLoop
 	mm          *managerMetrics
 	stopProbe   func()
 	stopGossip  func()
@@ -272,11 +254,9 @@ type Manager struct {
 	prevRespTotal float64
 
 	// counters
-	eras              uint64
-	forwardedRequests uint64
-	localRequests     uint64
-	controlMessages   uint64
-	stopLoop          func()
+	eras            uint64
+	controlMessages uint64
+	stopLoop        func()
 }
 
 // NewManager builds the deployment.  It trains the ML predictors up front
@@ -287,16 +267,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("acm: no regions configured")
 	}
 	m := &Manager{
-		cfg:         cfg,
-		eng:         simclock.NewEngine(cfg.Seed),
-		vmcs:        map[string]*pcam.VMC{},
-		populations: map[string]*workload.Population{},
-		surges:      map[string]*workload.Population{},
-		surgeAt:     map[string]simclock.Duration{},
-		metrics:     workload.NewMetrics(),
-		recorder:    cfg.Recorder,
-		models:      map[string]*f2pm.Model{},
-		prevIssued:  map[string]uint64{},
+		cfg:        cfg,
+		vmcs:       map[string]*pcam.VMC{},
+		recorder:   cfg.Recorder,
+		models:     map[string]*f2pm.Model{},
+		prevIssued: map[string]uint64{},
 	}
 	if m.recorder == nil {
 		m.recorder = trace.NewRecorder()
@@ -314,7 +289,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 	}
 
-	// Build regions, controllers and client populations.
+	// Build regions and controllers; the client populations are split
+	// across the region shards when the event loop is assembled below.
 	names := make([]string, 0, len(cfg.Regions))
 	for i, rs := range cfg.Regions {
 		rng := simclock.NewRNG(cfg.Seed + uint64(i)*104729 + 13)
@@ -340,36 +316,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			return nil, fmt.Errorf("acm: region %s: %w", region.Name(), err)
 		}
 		m.vmcs[region.Name()] = vmc
-
-		// With the sharded event loop each shard gets its own population,
-		// built in newEventLoop below; the serial engine keeps one population
-		// per region.
-		if cfg.EventWorkers == 0 {
-			pop := workload.NewPopulation(workload.PopulationConfig{
-				Region:        region.Name(),
-				Clients:       rs.Clients,
-				Mix:           rs.Mix,
-				ThinkTimeMean: cfg.ThinkTime,
-				Timeout:       cfg.RequestTimeout,
-				RampUp:        cfg.ControlInterval / 2,
-				Tracer:        m.tracer,
-			}, simclock.NewRNG(cfg.Seed+uint64(i)*7919+101), m.entryDispatcher(region.Name()), m.metrics)
-			m.populations[region.Name()] = pop
-
-			if rs.SurgeClients > 0 && rs.SurgeAt > 0 {
-				surge := workload.NewPopulation(workload.PopulationConfig{
-					Region:        region.Name(),
-					Clients:       rs.SurgeClients,
-					Mix:           rs.Mix,
-					ThinkTimeMean: cfg.ThinkTime,
-					Timeout:       cfg.RequestTimeout,
-					RampUp:        cfg.ControlInterval / 2,
-					Tracer:        m.tracer,
-				}, simclock.NewRNG(cfg.Seed+uint64(i)*7919+271), m.entryDispatcher(region.Name()), m.metrics)
-				m.surges[region.Name()] = surge
-				m.surgeAt[region.Name()] = rs.SurgeAt
-			}
-		}
 	}
 	m.regionNames = names
 	m.regionIndex = map[string]int{}
@@ -379,8 +325,7 @@ func NewManager(cfg Config) (*Manager, error) {
 
 	// Global-traffic wiring: validate the global/fault configuration and
 	// build the traffic director.  The per-lane global populations and
-	// arrival streams are assembled with the event loop below; a serial
-	// deployment (no GSLB) only ever carries region-pinned streams.
+	// arrival streams are assembled with the event loop below.
 	if err := m.validateGlobal(); err != nil {
 		return nil, err
 	}
@@ -390,12 +335,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	// The instrument families depend on the director/plane shape, so the
 	// registry is assembled right after the global wiring.
 	m.buildMetrics()
-	if cfg.EventWorkers == 0 {
-		if err := m.buildSerialArrivals(); err != nil {
-			return nil, err
-		}
-		m.buildSerialCohorts()
-	}
 
 	// Overlay + leader election among the controllers.
 	m.net = cfg.Overlay
@@ -432,18 +371,16 @@ func NewManager(cfg Config) (*Manager, error) {
 	// overlay and initial plan.  The control timeline becomes the Manager's
 	// engine, so fault injection and the control-era ticker land on the
 	// timeline that fires at epoch barriers.
-	if cfg.EventWorkers > 0 {
-		m.el = newEventLoop(m)
-		m.eng = m.el.se.Control()
-		if cfg.FlightRecorder {
-			// The recorder is written only at epoch barriers and control
-			// ticks, so attaching it never adds events or synchronisation to
-			// the shard loops.
-			m.flight = simclock.NewFlightRecorder(m.el.total)
-			m.el.se.SetFlightRecorder(m.flight)
-			for _, vmc := range m.vmcs {
-				vmc.SetFlightRecorder(m.flight)
-			}
+	m.el = newEventLoop(m)
+	m.eng = m.el.se.Control()
+	if cfg.FlightRecorder {
+		// The recorder is written only at epoch barriers and control ticks,
+		// so attaching it never adds events or synchronisation to the shard
+		// loops.
+		m.flight = simclock.NewFlightRecorder(m.el.total)
+		m.el.se.SetFlightRecorder(m.flight)
+		for _, vmc := range m.vmcs {
+			vmc.SetFlightRecorder(m.flight)
 		}
 	}
 	return m, nil
@@ -517,45 +454,6 @@ func (m *Manager) predictorFor(region *cloudsim.Region) (pcam.RTTFPredictor, err
 	}
 }
 
-// entryDispatcher returns the workload.Dispatcher of one region's entry load
-// balancer: it applies the global forward plan, forwarding the request over
-// the overlay when the plan routes it to another region.
-func (m *Manager) entryDispatcher(regionName string) workload.Dispatcher {
-	rng := simclock.NewRNG(m.cfg.Seed ^ hashString(regionName))
-	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) {
-		dest := m.plan.Destination(regionName, rng.Float64())
-		if dest == regionName {
-			m.localRequests++
-			m.vmcs[dest].Submit(eng, req)
-			return
-		}
-		m.forwardedRequests++
-		req.Forwarded = true
-		latMs := m.net.Latency(regionName, dest)
-		if latMs != latMs || latMs > 1e6 { // NaN or unreachable: process locally
-			m.vmcs[regionName].Submit(eng, req)
-			return
-		}
-		oneWay := simclock.Duration(latMs / 1000)
-		if req.Trace != nil {
-			// Guarded so the detail string is only built for sampled requests.
-			req.Trace.Span(tracing.SpanForward, eng.Now(), oneWay,
-				fmt.Sprintf("%s->%s", regionName, dest))
-		}
-		// The response travels back over the overlay as well: shift the
-		// client-visible completion by the return latency.
-		if prev := req.OnDone; prev != nil {
-			req.OnDone = func(o cloudsim.Outcome) {
-				o.End = o.End.Add(oneWay)
-				prev(o)
-			}
-		}
-		eng.ScheduleFunc(oneWay, func(e *simclock.Engine) {
-			m.vmcs[dest].Submit(e, req)
-		})
-	})
-}
-
 // hashString is a small FNV-style hash used to derive per-region RNG streams.
 func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)
@@ -577,35 +475,9 @@ func (m *Manager) entrySharesFromClients() []float64 {
 	return core.Normalize(out)
 }
 
-// buildSerialCohorts constructs the per-region cohort-compressed populations
-// of a serial-engine deployment (the event loop builds per-shard cohorts in
-// newEventLoop instead).  Runs after validateGlobal, so CohortClients and
-// TracerFraction have been range-checked.
-func (m *Manager) buildSerialCohorts() {
-	for i, rs := range m.cfg.Regions {
-		if rs.CohortClients <= 0 {
-			continue
-		}
-		name := m.regionNames[i]
-		m.cohorts = append(m.cohorts, workload.NewCohortPopulation(workload.CohortConfig{
-			Region:         name,
-			Clients:        rs.CohortClients,
-			Mix:            rs.Mix,
-			ThinkTimeMean:  m.cfg.ThinkTime,
-			Tick:           m.cfg.CohortTick,
-			MaxBatch:       m.cfg.CohortMaxBatch,
-			TracerFraction: m.cfg.TracerFraction,
-			Timeout:        m.cfg.RequestTimeout,
-			RampUp:         m.cfg.ControlInterval / 2,
-			IDPrefix:       name + "-tracer",
-			Seed:           simclock.DeriveSeed(m.cfg.Seed^hashString("cohort"), uint64(i)),
-			Tracer:         m.tracer,
-		}, m.entryDispatcher(name), m.metrics))
-	}
-}
-
-// Engine exposes the simulation engine (tests and examples schedule fault
-// injection through it).
+// Engine exposes the event loop's control timeline (tests and examples
+// schedule fault injection through it; its events fire at epoch barriers,
+// at their exact timestamps).
 func (m *Manager) Engine() *simclock.Engine { return m.eng }
 
 // Tracer returns the deployment's request-span tracer (nil unless
@@ -613,24 +485,16 @@ func (m *Manager) Engine() *simclock.Engine { return m.eng }
 func (m *Manager) Tracer() *tracing.Tracer { return m.tracer }
 
 // FlightRecorder returns the engine flight recorder (nil unless
-// Config.FlightRecorder is set on a sharded deployment).
+// Config.FlightRecorder is set).
 func (m *Manager) FlightRecorder() *simclock.FlightRecorder { return m.flight }
 
 // Recorder returns the experiment time-series recorder.
 func (m *Manager) Recorder() *trace.Recorder { return m.recorder }
 
-// Metrics returns the client-side workload metrics.  On the sharded event
-// loop this merges the per-shard sinks in shard-index order (the fixed fold
-// order of the determinism contract).
-func (m *Manager) Metrics() *workload.Metrics { return m.currentMetrics() }
-
-// currentMetrics returns the live metrics view for the active engine mode.
-func (m *Manager) currentMetrics() *workload.Metrics {
-	if m.el != nil {
-		return m.el.mergedMetrics()
-	}
-	return m.metrics
-}
+// Metrics returns the client-side workload metrics: the per-shard sinks
+// merged in shard-index order (the fixed fold order of the determinism
+// contract).
+func (m *Manager) Metrics() *workload.Metrics { return m.el.mergedMetrics() }
 
 // Overlay returns the controller overlay network.
 func (m *Manager) Overlay() *overlay.Network { return m.net }
@@ -659,21 +523,15 @@ func (m *Manager) Eras() uint64 { return m.eras }
 // ForwardedRequests returns how many requests were forwarded to a region
 // other than their entry region (the redirection overhead of Section VI-B).
 func (m *Manager) ForwardedRequests() uint64 {
-	if m.el != nil {
-		_, forwarded := m.el.counters()
-		return forwarded
-	}
-	return m.forwardedRequests
+	_, forwarded := m.el.counters()
+	return forwarded
 }
 
 // LocalRequests returns how many requests were processed in their entry
 // region.
 func (m *Manager) LocalRequests() uint64 {
-	if m.el != nil {
-		local, _ := m.el.counters()
-		return local
-	}
-	return m.localRequests
+	local, _ := m.el.counters()
+	return local
 }
 
 // ControlMessages returns the number of controller-to-controller messages
@@ -684,24 +542,7 @@ func (m *Manager) ControlMessages() uint64 { return m.controlMessages }
 // Start launches the client populations, the per-region controllers and the
 // global control loop.
 func (m *Manager) Start() {
-	if m.el != nil {
-		m.el.start()
-	} else {
-		for _, name := range m.regionNames {
-			m.vmcs[name].Start(m.eng)
-			m.populations[name].Start(m.eng)
-			if surge, ok := m.surges[name]; ok {
-				surge := surge
-				m.eng.ScheduleFunc(m.surgeAt[name], func(e *simclock.Engine) { surge.Start(e) })
-			}
-		}
-		for _, gen := range m.arrivals {
-			gen.Start(m.eng)
-		}
-		for _, c := range m.cohorts {
-			c.Start(m.eng)
-		}
-	}
+	m.el.start()
 	m.startDirector()
 	m.scheduleFaults()
 	m.scheduleLinkFaults()
@@ -712,23 +553,7 @@ func (m *Manager) Start() {
 // Stop halts the client populations and the controllers (pending events keep
 // draining until the engine finishes).
 func (m *Manager) Stop() {
-	if m.el != nil {
-		m.el.stop()
-	} else {
-		for _, name := range m.regionNames {
-			m.populations[name].Stop()
-			if surge, ok := m.surges[name]; ok {
-				surge.Stop()
-			}
-			m.vmcs[name].Stop()
-		}
-		for _, gen := range m.arrivals {
-			gen.Stop()
-		}
-		for _, c := range m.cohorts {
-			c.Stop()
-		}
-	}
+	m.el.stop()
 	if m.stopProbe != nil {
 		m.stopProbe()
 		m.stopProbe = nil
@@ -747,12 +572,7 @@ func (m *Manager) Stop() {
 // and stops it.  It can be called once per Manager.
 func (m *Manager) Run(horizon simclock.Duration) error {
 	m.Start()
-	var err error
-	if m.el != nil {
-		err = m.el.se.Run(horizon)
-	} else {
-		err = m.eng.Run(horizon)
-	}
+	err := m.el.se.Run(horizon)
 	m.Stop()
 	if err != nil && err != simclock.ErrHorizonReached {
 		return err
@@ -795,7 +615,7 @@ func (m *Manager) controlEra(eng *simclock.Engine) {
 	}
 
 	// λ and entry shares measured over the last interval.
-	met := m.currentMetrics()
+	met := m.Metrics()
 	lambda, entry := m.intervalArrivals(met)
 
 	res, err := m.loop.Step(last, lambda, entry)
@@ -804,13 +624,11 @@ func (m *Manager) controlEra(eng *simclock.Engine) {
 	}
 	m.eras++
 
-	// Execute: install the plan (one message per reachable slave).  On the
-	// sharded event loop the snapshot every shard dispatches from is
-	// republished here, at the barrier, while the shard loops are idle.
+	// Execute: install the plan (one message per reachable slave).  The
+	// snapshot every shard dispatches from is republished here, at the
+	// barrier, while the shard loops are idle.
 	m.plan = res.Plan
-	if m.el != nil {
-		m.el.installPlan(res.Plan)
-	}
+	m.el.installPlan(res.Plan)
 	for _, name := range m.regionNames {
 		if name != leader && m.net.Reachable(leader, name) {
 			m.controlMessages++

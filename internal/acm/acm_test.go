@@ -296,8 +296,8 @@ func TestEntryDispatcherFallsBackWhenUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	// Cut region3 off completely before starting; its entry traffic must then
-	// be served locally rather than lost.
+	// Cut region3 off completely before starting; the entry dispatcher must
+	// then serve its traffic locally rather than lose it.
 	m.Overlay().FailNode("region3")
 	m.Overlay().FailNode("transit-ams")
 	if err := m.Run(10 * simclock.Minute); err != nil {
@@ -309,7 +309,7 @@ func TestEntryDispatcherFallsBackWhenUnreachable(t *testing.T) {
 }
 
 func TestWorkloadDispatcherIntegration(t *testing.T) {
-	// The manager's entry dispatcher must satisfy the workload.Dispatcher
+	// The manager's entry dispatchers must satisfy the workload.Dispatcher
 	// contract: every submitted request eventually completes (or is dropped)
 	// exactly once.  Run a tiny deployment and compare issued vs. terminated.
 	m, err := NewManager(smallConfig(17, core.Uniform{}))
@@ -337,7 +337,7 @@ func BenchmarkManagerControlEra(b *testing.B) {
 	}
 	m.Start()
 	// Warm the deployment so RMTTFs are primed.
-	_ = m.Engine().Run(5 * simclock.Minute)
+	_ = m.el.se.Run(5 * simclock.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -358,13 +358,13 @@ func TestWorkloadSurgeStartsLater(t *testing.T) {
 	m.Start()
 
 	// Before the surge: throughput corresponds to the base populations only.
-	if err := m.Engine().Run(9 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := m.el.se.Run(9 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
 	preSurge := m.Metrics().Issued("region1")
 
 	// Run well past the surge and compare per-minute arrival rates.
-	if err := m.Engine().Run(25 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := m.el.se.Run(25 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatalf("run: %v", err)
 	}
 	m.Stop()
@@ -384,7 +384,9 @@ func TestSurgeRequiresBothFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
-	if len(m.surges) != 0 {
-		t.Fatalf("a surge without a start time should not create a population")
+	for r, pops := range m.el.surge {
+		if len(pops) != 0 {
+			t.Fatalf("region %d: a surge without a start time should not create a population", r)
+		}
 	}
 }

@@ -1,16 +1,15 @@
-// The sharded event loop of a deployment: with Config.EventWorkers >= 1 the
-// Manager promotes every region shard to its own simclock sub-engine and
-// runs the whole request-service path — client think timers, arrivals,
-// dispatch, service, completion, rejuvenation timers — on N shard loops in
-// lockstep epochs (simclock.ShardedEngine).  The serial engine only ever
-// fired one event at a time; here a 16-shard megaregion services sixteen
-// arrival/completion streams concurrently.
+// The sharded event loop every deployment runs on: the Manager promotes each
+// region shard to its own simclock sub-engine and runs the whole
+// request-service path — client think timers, arrivals, dispatch, service,
+// completion, rejuvenation timers — on N shard loops in lockstep epochs
+// (simclock.ShardedEngine) driven by Config.EventWorkers goroutines.  A
+// 16-shard megaregion services sixteen arrival/completion streams
+// concurrently.
 //
 // Partitioning: each region's client population is split across its shards,
-// and a client's requests are dispatched inside its own shard (the serial
-// engine's per-request shard rotation becomes a static client→shard
-// binding, which spreads load identically in expectation and keeps the
-// arrival→dispatch→service→completion loop entirely shard-local).  Each
+// and a client's requests are dispatched inside its own shard (a static
+// client→shard binding, which spreads load evenly in expectation and keeps
+// the arrival→dispatch→service→completion loop entirely shard-local).  Each
 // shard also owns a private workload.Metrics sink; reads merge the sinks in
 // shard-index order, so the merged floating-point moments are
 // bit-reproducible for every worker count.
@@ -303,7 +302,7 @@ func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
 				dvmc.SubmitShard(eng, ds, req)
 				return
 			}
-			req.RehomeOnDone(el.se, g, nil)
+			req.RehomeOnDone(el.se, g, 0)
 			if req.Trace != nil {
 				// Guarded so the detail string is only built for sampled requests.
 				req.Trace.Event(tracing.EventMailbox, eng.Now(),
@@ -314,9 +313,8 @@ func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
 		}
 
 		// The tap wraps OnDone before any re-homing, so it always runs on
-		// this lane: the buffer append needs no synchronisation and the
-		// return leg shifts the client-visible completion exactly like the
-		// plan-forwarding dispatcher's transform does.
+		// this lane: the buffer append needs no synchronisation, and it
+		// shifts the client-visible completion by the return leg itself.
 		rttMs := el.laneRTT[g][stream][ri]
 		oneWay := simclock.Duration(rttMs / 2000)
 		if req.Trace != nil {
@@ -347,7 +345,7 @@ func (el *eventLoop) gslbDispatcher(g int) workload.Dispatcher {
 			}
 			return
 		}
-		req.RehomeOnDone(el.se, g, nil)
+		req.RehomeOnDone(el.se, g, 0)
 		if req.Trace != nil {
 			// Guarded so the detail string is only built for sampled requests.
 			req.Trace.Event(tracing.EventMailbox, eng.Now(),
@@ -546,9 +544,8 @@ func (el *eventLoop) dispatcher(r, s int) workload.Dispatcher {
 		// The request will complete on a foreign shard: re-home the
 		// completion as a mailbox post back to this shard (where the
 		// browser's think timer and this shard's metrics live) and shift the
-		// client-visible completion by the return latency, exactly like the
-		// serial dispatcher does.
-		req.RehomeOnDone(el.se, g, func(o *cloudsim.Outcome) { o.End = o.End.Add(oneWay) })
+		// client-visible completion by the return latency.
+		req.RehomeOnDone(el.se, g, oneWay)
 
 		// One-way overlay latency: the post is delivered at the next epoch
 		// barrier; any latency still outstanding is scheduled on the

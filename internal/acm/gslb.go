@@ -4,13 +4,11 @@
 // pinning them to one region, plus the scripted region-outage schedule that
 // gives the director's health-driven failover something to react to.
 //
-// Determinism: a GSLB deployment always runs on the sharded event loop
-// (Config.withDefaults promotes EventWorkers 0 -> 1), because global routing
-// crosses region sub-engines and therefore must ride the mailbox machinery.
-// The director's probe runs on the control timeline; each lane's dispatcher
-// reads an immutable routing-table snapshot republished at epoch barriers
-// and owns its RNG/rotation state, so the output is byte-identical for every
-// EventWorkers value — 0 and 1 select the same inline epochal run.
+// Determinism: global routing crosses region sub-engines and therefore rides
+// the event loop's mailbox machinery.  The director's probe runs on the
+// control timeline; each lane's dispatcher reads an immutable routing-table
+// snapshot republished at epoch barriers and owns its RNG/rotation state, so
+// the output is byte-identical for every EventWorkers value.
 package acm
 
 import (
@@ -118,9 +116,6 @@ func (m *Manager) validateGlobal() error {
 	}
 	if f := cfg.TraceSampleFraction; math.IsNaN(f) || f < 0 || f > 1 {
 		return validate.Fieldf("acm", "TraceSampleFraction", "must be in [0, 1], got %v", f)
-	}
-	if cfg.FlightRecorder && cfg.EventWorkers == 0 {
-		return validate.Fieldf("acm", "FlightRecorder", "requires the sharded event loop (set EventWorkers >= 1)")
 	}
 	for i, rs := range cfg.Regions {
 		if rs.CohortClients < 0 {
@@ -338,20 +333,16 @@ func (m *Manager) startDirector() {
 		// advances each owning replica's health state machine (bumping the
 		// region versions); the gossip tick delivers and sends the push-pull
 		// rounds.  Both republish every replica's table to its homed lanes —
-		// serial, at exact timestamps, so the plane is byte-deterministic
-		// for any worker count.
+		// one at a time, at exact timestamps, so the plane is
+		// byte-deterministic for any worker count.
 		probe := m.plane.GSLBConfig().ProbeInterval
 		m.stopProbe = m.eng.Ticker(probe, func(eng *simclock.Engine) {
 			m.plane.ProbeTick(eng.Now())
-			if m.el != nil {
-				m.el.installGossipTables(m.plane)
-			}
+			m.el.installGossipTables(m.plane)
 		})
 		m.stopGossip = m.eng.Ticker(m.plane.Interval(), func(eng *simclock.Engine) {
 			m.plane.GossipTick(eng.Now())
-			if m.el != nil {
-				m.el.installGossipTables(m.plane)
-			}
+			m.el.installGossipTables(m.plane)
 		})
 		return
 	}
@@ -362,19 +353,13 @@ func (m *Manager) startDirector() {
 		// Flush the buffered completion observations first, so the tick
 		// folds the freshest interval into the latency estimates before the
 		// routing table is rebuilt.
-		if m.el != nil {
-			m.el.flushGSLBObs(m.director)
-		}
-		table := m.director.Tick(eng.Now())
-		if m.el != nil {
-			m.el.installGSLBTable(table)
-		}
+		m.el.flushGSLBObs(m.director)
+		m.el.installGSLBTable(m.director.Tick(eng.Now()))
 	})
 }
 
 // scheduleLinkFaults arms the scripted network-path degradations on the
-// control timeline.  Validation guaranteed a latency-aware GSLB deployment,
-// which always runs on the event loop.
+// control timeline.  Validation guaranteed a latency-aware GSLB deployment.
 func (m *Manager) scheduleLinkFaults() {
 	if len(m.cfg.LinkFaults) == 0 {
 		return
@@ -429,25 +414,6 @@ func (m *Manager) scheduleFaults() {
 	}
 }
 
-// buildSerialArrivals constructs the region-pinned arrival streams of a
-// serial-engine deployment (global streams require the event loop, which
-// GSLB deployments always use).
-func (m *Manager) buildSerialArrivals() error {
-	for i, a := range m.cfg.Arrivals {
-		gen, err := workload.NewVaryingOpenLoop(workload.VaryingOpenLoopConfig{
-			Region: a.Name,
-			Rate:   a.Rate,
-			Mix:    a.Mix,
-			Tracer: m.tracer,
-		}, simclock.NewStreamRNG(m.cfg.Seed^hashString("arrivals"), uint64(i)), m.entryDispatcher(a.Region), m.metrics)
-		if err != nil {
-			return fmt.Errorf("acm: arrival stream %q: %w", a.Name, err)
-		}
-		m.arrivals = append(m.arrivals, gen)
-	}
-	return nil
-}
-
 // Director returns the central global traffic director (nil when GSLB is
 // disabled or the deployment runs the gossip plane instead).
 func (m *Manager) Director() *gslb.Director { return m.director }
@@ -468,8 +434,8 @@ func (m *Manager) GossipStats() *gossip.Stats {
 
 // GSLBRouted returns how many requests the global health plane (central
 // director or gossip replicas) routed to each region, keyed by region name
-// (nil when GSLB is disabled).  On the event loop the per-lane counters are
-// folded in lane order.
+// (nil when GSLB is disabled).  The per-lane counters are folded in lane
+// order.
 func (m *Manager) GSLBRouted() map[string]uint64 {
 	if m.director == nil && m.plane == nil {
 		return nil

@@ -125,8 +125,8 @@ func TestGSLBConfigValidation(t *testing.T) {
 	}
 }
 
-// TestGSLBForcesEventLoop: enabling the director promotes EventWorkers 0 to
-// the inline epochal engine.
+// TestGSLBForcesEventLoop: a director deployment left at EventWorkers 0
+// runs on the event loop inline and routes its global clients.
 func TestGSLBForcesEventLoop(t *testing.T) {
 	cfg := Config{
 		Seed:          1,
@@ -138,8 +138,8 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.el == nil {
-		t.Fatal("GSLB deployment did not select the sharded event loop")
+	if m.cfg.EventWorkers != 1 {
+		t.Fatalf("EventWorkers = %d after defaults, want 1 (inline)", m.cfg.EventWorkers)
 	}
 	if m.Director() == nil {
 		t.Fatal("no director built")
@@ -156,8 +156,9 @@ func TestGSLBForcesEventLoop(t *testing.T) {
 	}
 }
 
-// TestSerialPinnedArrivals: region-pinned time-varying streams work on the
-// serial engine (no GSLB involved) and are deterministic.
+// TestSerialPinnedArrivals: region-pinned time-varying streams work without
+// a director — they enter through the pinned region's plan dispatcher — and
+// are deterministic.
 func TestSerialPinnedArrivals(t *testing.T) {
 	run := func() (uint64, float64) {
 		cfg := Config{
@@ -173,8 +174,8 @@ func TestSerialPinnedArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.el != nil {
-			t.Fatal("pinned arrivals alone must not select the event loop")
+		if m.Director() != nil {
+			t.Fatal("pinned arrivals alone must not build a director")
 		}
 		if err := m.Run(10 * simclock.Minute); err != nil {
 			t.Fatal(err)
@@ -192,7 +193,7 @@ func TestSerialPinnedArrivals(t *testing.T) {
 	}
 	issued2, mean2 := run()
 	if issued != issued2 || mean != mean2 {
-		t.Fatalf("serial arrival runs diverged: %d/%v vs %d/%v", issued, mean, issued2, mean2)
+		t.Fatalf("pinned arrival runs diverged: %d/%v vs %d/%v", issued, mean, issued2, mean2)
 	}
 }
 
@@ -226,7 +227,7 @@ func TestRegionFaultOutageAndRecovery(t *testing.T) {
 	eng.ScheduleFunc(9*simclock.Minute, func(*simclock.Engine) {
 		afterRecovery = m.VMC("region1").ActiveVMs()
 	})
-	if err := eng.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
+	if err := m.el.se.Run(10 * simclock.Minute); err != nil && err != simclock.ErrHorizonReached {
 		t.Fatal(err)
 	}
 	m.Stop()

@@ -8,8 +8,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Simulated is the simulator backend: an acm.Manager over the simclock
-// engines (serial or sharded event loop, per the config).
+// Simulated is the simulator backend: an acm.Manager over the sharded
+// simclock event loop.
 type Simulated struct {
 	mgr *acm.Manager
 }

@@ -119,20 +119,19 @@ func (r *Request) Finish(eng *simclock.Engine, o Outcome) { r.finish(eng, o) }
 // sharded event loop: the current OnDone is replaced by an OnDoneCtx that
 // runs it directly when the completion fires on the home lane, and otherwise
 // posts it to the home shard's mailbox — so the issuer's state is never
-// touched from a foreign goroutine.  transform, if non-nil, adjusts the
-// outcome first (e.g. adding the return leg of an overlay latency).  Both
-// the region load balancer's empty-shard hop and the deployment's
-// cross-region dispatcher route completions through this one helper.
-func (r *Request) RehomeOnDone(se *simclock.ShardedEngine, home int, transform func(*Outcome)) {
+// touched from a foreign goroutine.  returnLeg is added to the outcome's End
+// first: the client-visible completion of a request forwarded over the
+// overlay includes the response's trip back (0 for none).  Both the region
+// load balancer's empty-shard hop and the deployment's cross-region
+// dispatchers route completions through this one helper.
+func (r *Request) RehomeOnDone(se *simclock.ShardedEngine, home int, returnLeg simclock.Duration) {
 	orig := r.OnDone
 	r.OnDone = nil
 	r.OnDoneCtx = func(ceng *simclock.Engine, o Outcome) {
-		if transform != nil {
-			transform(&o)
-		}
 		if orig == nil {
 			return
 		}
+		o.End = o.End.Add(returnLeg)
 		if se.LaneOf(ceng) == home {
 			orig(o)
 			return

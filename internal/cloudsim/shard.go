@@ -22,7 +22,7 @@ type shard struct {
 	index  int
 	rng    *simclock.RNG
 	vms    []*VM            // this shard's VMs, in provisioning order
-	engine *simclock.Engine // sub-engine owning this shard's events (nil = serial engine)
+	engine *simclock.Engine // sub-engine owning this shard's events (nil = unbound, one plain engine)
 }
 
 // Concurrency: a shard's accessors (byState, appendByState, countState,
@@ -126,9 +126,9 @@ func (r *Region) NumShards() int { return len(r.shards) }
 // BindShardEngines attaches one sub-engine per shard, enabling the parallel
 // event loop: controllers use the binding to route a VM's timed transitions
 // (rejuvenation completion, activation) to the engine that owns the VM's
-// shard.  The slice length must match NumShards.  Unbound regions (the
-// serial engine) report nil from ShardEngine and callers fall back to the
-// engine in hand.
+// shard.  The slice length must match NumShards.  Unbound regions (driven
+// by one plain engine) report nil from ShardEngine and callers fall back to
+// the engine in hand.
 func (r *Region) BindShardEngines(engs []*simclock.Engine) {
 	if len(engs) != len(r.shards) {
 		panic(fmt.Sprintf("cloudsim: BindShardEngines got %d engines for %d shards", len(engs), len(r.shards)))
@@ -139,7 +139,7 @@ func (r *Region) BindShardEngines(engs []*simclock.Engine) {
 }
 
 // ShardEngine returns the sub-engine bound to shard i, or nil when the
-// region runs on the serial engine.
+// region is unbound (driven by one plain engine).
 func (r *Region) ShardEngine(i int) *simclock.Engine { return r.shards[i].engine }
 
 // ShardVMs returns the VMs owned by the given shard, in provisioning order.

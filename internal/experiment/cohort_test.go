@@ -138,7 +138,7 @@ func TestCohortIndividualEquivalence(t *testing.T) {
 // richest cross-shard deployment: figure4-eventloop with a cohort population
 // riding alongside every region's browsers must produce byte-identical
 // output — summary plus the SHA-256 of every raw series, which includes the
-// tracer-fed response-time series — at EventWorkers 1, 4 and GOMAXPROCS.
+// tracer-fed response-time series — at EventWorkers 0, 1, 4 and GOMAXPROCS.
 func TestCohortWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the cohort figure4 event-loop simulation once per worker count")
@@ -167,10 +167,11 @@ func TestCohortWorkersEquivalence(t *testing.T) {
 		}
 		return eventLoopFingerprint(t, res)
 	}
-	ref := run(1)
-	for _, workers := range eventLoopWorkerCounts()[1:] {
+	counts := eventLoopWorkerCounts()
+	ref := run(counts[0])
+	for _, workers := range counts[1:] {
 		if got := run(workers); !bytes.Equal(got, ref) {
-			t.Fatalf("EventWorkers=%d diverged from EventWorkers=1\n--- got ---\n%s\n--- want ---\n%s", workers, got, ref)
+			t.Fatalf("EventWorkers=%d diverged from EventWorkers=%d\n--- got ---\n%s\n--- want ---\n%s", workers, counts[0], got, ref)
 		}
 	}
 }

@@ -111,9 +111,6 @@ func scenarioHighlights(sc Scenario) []string {
 	hl = append(hl, fmt.Sprintf("horizon %s, control interval %s",
 		docDuration(sc.Horizon), docDuration(sc.ControlInterval)))
 
-	if sc.EventWorkers > 0 {
-		hl = append(hl, fmt.Sprintf("sharded event loop, %d workers", sc.EventWorkers))
-	}
 	if sc.GSLB.Enabled() {
 		g := fmt.Sprintf("GSLB policy `%s`", sc.GSLB.Policy)
 		if len(sc.GSLB.Preference) > 0 {

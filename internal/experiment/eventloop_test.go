@@ -3,28 +3,22 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/simclock"
 )
 
-// The parallel-event-loop suite: the sharded event loop (one sub-engine per
-// region shard, cross-shard mailboxes, lockstep epochs) must be
-// byte-identical across every EventWorkers >= 1 and every GOMAXPROCS, and
-// its behaviour is pinned by goldens of its own.  EventWorkers = 0 is the
-// serial engine, pinned by the pre-existing golden suite — the two engines
-// produce intentionally different bytes (cross-shard effects are
-// epoch-quantised on the event loop), which is why the event loop carries
-// separate goldens instead of replaying the serial ones.
+// The event-loop suite: every deployment runs on the sharded event loop (one
+// sub-engine per region shard, cross-shard mailboxes, lockstep epochs), and
+// its output must be byte-identical across every EventWorkers value and
+// every GOMAXPROCS.  The figure goldens pin the bytes themselves.
 
-// eventLoopWorkerCounts mirrors tickWorkerCounts: inline (1), a fixed
-// fan-out (4) and whatever the host offers.
+// eventLoopWorkerCounts lists the EventWorkers values every equivalence test
+// runs: 0 (normalised to the inline run), inline (1), a fixed fan-out (4)
+// and whatever the host offers.
 func eventLoopWorkerCounts() []int {
-	counts := []int{1, 4}
+	counts := []int{0, 1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
 		counts = append(counts, p)
 	}
@@ -78,38 +72,45 @@ func TestEventLoopSmoke(t *testing.T) {
 }
 
 // TestEventLoopWorkersEquivalence is the event-loop determinism workhorse:
-// the 3-shard figure4 deployment — cross-region forwarding, standby
+// the paper's figure3 and figure4 deployments and the 3-shard
+// figure4-eventloop — cross-region forwarding, shard hops, standby
 // promotions and reactive recoveries all crossing shards through mailboxes —
 // must produce byte-identical output (full summary plus the SHA-256 of every
-// raw series) at EventWorkers 1, 4 and GOMAXPROCS.  The CI
+// raw series) at EventWorkers 0, 1, 4 and GOMAXPROCS.  The CI
 // multicore-determinism job replays it with GOMAXPROCS=4 under -race, where
 // EventWorkers > 1 genuinely runs the shard loops on distinct cores.
 func TestEventLoopWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the figure4 event-loop simulation once per worker count")
+		t.Skip("runs the figure simulations once per worker count")
 	}
 	np, err := PolicyByKey("policy2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) []byte {
-		sc, err := BuildScenario("figure4-eventloop", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Horizon = goldenHorizon
-		sc.EventWorkers = workers
-		res, err := Run(sc, np)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eventLoopFingerprint(t, res)
-	}
-	ref := run(1)
-	for _, workers := range eventLoopWorkerCounts()[1:] {
-		if got := run(workers); !bytes.Equal(got, ref) {
-			t.Fatalf("EventWorkers=%d diverged from EventWorkers=1\n--- got ---\n%s\n--- want ---\n%s", workers, got, ref)
-		}
+	counts := eventLoopWorkerCounts()
+	for _, name := range figureGoldenScenarios {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			run := func(workers int) []byte {
+				sc, err := BuildScenario(name, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.Horizon = goldenHorizon
+				sc.EventWorkers = workers
+				res, err := Run(sc, np)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eventLoopFingerprint(t, res)
+			}
+			ref := run(counts[0])
+			for _, workers := range counts[1:] {
+				if got := run(workers); !bytes.Equal(got, ref) {
+					t.Fatalf("EventWorkers=%d diverged from EventWorkers=%d\n--- got ---\n%s\n--- want ---\n%s", workers, counts[0], got, ref)
+				}
+			}
+		})
 	}
 }
 
@@ -142,76 +143,39 @@ func TestEventLoopRunTwiceDeterministic(t *testing.T) {
 }
 
 // TestMegaregionEventLoopEquivalence pins the 16-shard megaregion — the
-// scale configuration the event loop exists for — across worker counts on a
-// shortened horizon (the full scenario is benchmark territory).
+// scale configuration the event loop exists for — across both fan-outs on a
+// shortened horizon (the full scenario is benchmark territory): TickWorkers
+// {1, 16} x EventWorkers {1, 16} must all produce the same bytes.
 func TestMegaregionEventLoopEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a 5x10^3-VM region once per worker count")
+		t.Skip("builds a 5x10^3-VM region once per worker combination")
 	}
 	np, err := PolicyByKey("policy2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) []byte {
-		sc, err := BuildScenario("megaregion-eventloop", 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Horizon = 5 * simclock.Minute
-		sc.EventWorkers = workers
-		res, err := Run(sc, np)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eventLoopFingerprint(t, res)
-	}
-	ref := run(1)
-	if got := run(runtime.GOMAXPROCS(0)); !bytes.Equal(got, ref) {
-		t.Fatalf("megaregion-eventloop EventWorkers=GOMAXPROCS diverged from EventWorkers=1")
-	}
-}
-
-// TestGoldenEventLoopScenarios byte-pins the parallel event loop the same
-// way the serial engine is pinned: figure4-eventloop under each policy,
-// recorded at the scenario's default EventWorkers and compared down to the
-// SHA-256 of every raw series.  Regenerate with:
-//
-//	go test ./internal/experiment -run TestGoldenEventLoop -update
-func TestGoldenEventLoopScenarios(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs three 30-minute event-loop simulations")
-	}
-	for _, np := range Policies() {
-		np := np
-		t.Run("figure4-eventloop/"+np.Key, func(t *testing.T) {
-			sc, err := BuildScenario("figure4-eventloop", 42)
+	var ref []byte
+	for _, tick := range []int{1, MegaregionShards} {
+		for _, event := range []int{1, MegaregionShards} {
+			sc, err := BuildScenario("megaregion-sharded", 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.Horizon = goldenHorizon
+			sc.Horizon = 5 * simclock.Minute
+			sc.VMC.TickWorkers = tick
+			sc.EventWorkers = event
 			res, err := Run(sc, np)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := eventLoopFingerprint(t, res)
-			path := filepath.Join("testdata", "golden", fmt.Sprintf("figure4-eventloop-%s.json", np.Key))
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
-				return
+			if ref == nil {
+				ref = got
+				continue
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to record): %v", err)
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("megaregion-sharded TickWorkers=%d EventWorkers=%d diverged from TickWorkers=1 EventWorkers=1", tick, event)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("event-loop summary drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-			}
-		})
+		}
 	}
 }

@@ -15,9 +15,7 @@ import (
 
 // The global-traffic-director suite: the global-* scenarios route traffic
 // between regions through a gslb.Director, and their output must be
-// byte-identical for EventWorkers {0, 1, 4, GOMAXPROCS} — 0 is promoted to
-// the inline epochal run by acm.Config, so the whole range shares one
-// engine and one byte stream.  The goldens additionally pin the per-region
+// byte-identical for EventWorkers {0, 1, 4, GOMAXPROCS}.  The goldens additionally pin the per-region
 // routed counts and the health-transition log, which is where the
 // drain/failover/failback story is directly assertable.
 
@@ -79,10 +77,7 @@ func TestGlobalGSLBWorkersEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := []int{0, 1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		counts = append(counts, p)
-	}
+	counts := eventLoopWorkerCounts()
 	for _, name := range globalScenarioNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {

@@ -17,10 +17,9 @@ import (
 
 // The golden regression suite byte-pins the summary metrics of the paper's
 // figure scenarios under every policy.  It exists so that refactors of the
-// simulation core (such as the sharded region engine) can prove they change
-// nothing at the default configuration: the goldens were recorded before the
-// refactor, and any behavioural drift — down to a single RNG draw — shows up
-// as a byte difference in the summary or in the hash of the raw series.
+// simulation core can prove they change nothing: any behavioural drift —
+// down to a single RNG draw — shows up as a byte difference in the summary
+// or in the hash of the raw series.
 //
 // Regenerate with:
 //
@@ -140,16 +139,19 @@ func goldenFromResult(r *Result) (goldenSummary, error) {
 	return g, nil
 }
 
-// TestGoldenFigureScenarios runs figure3 and figure4 under each of the
-// paper's three policies and compares the byte-pinned summary against
-// testdata/golden.  The scenarios run at their default configuration —
-// in particular Shards=1 — so the sharded region engine is provably a no-op
-// there.
+// figureGoldenScenarios are the deployments the figure golden table pins:
+// the paper's two experiments, plus figure4 with 3-shard regions — the only
+// scenario combining intra-region shard hops with cross-region forwarding.
+var figureGoldenScenarios = []string{"figure3", "figure4", "figure4-eventloop"}
+
+// TestGoldenFigureScenarios runs the figure scenarios under each of the
+// paper's three policies at their default configuration and compares the
+// byte-pinned summary against testdata/golden.
 func TestGoldenFigureScenarios(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six 30-minute simulations")
+		t.Skip("runs nine 30-minute simulations")
 	}
-	for _, name := range []string{"figure3", "figure4"} {
+	for _, name := range figureGoldenScenarios {
 		for _, np := range Policies() {
 			np := np
 			t.Run(name+"/"+np.Key, func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -83,10 +82,7 @@ func TestGlobalGossipWorkersEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := []int{0, 1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		counts = append(counts, p)
-	}
+	counts := eventLoopWorkerCounts()
 	for _, name := range gossipScenarioNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {

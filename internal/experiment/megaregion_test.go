@@ -19,11 +19,7 @@ func TestMegaregionScenarioShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := BuildScenario("megaregion-parallel", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range []Scenario{mega, sharded, parallel} {
+	for _, sc := range []Scenario{mega, sharded} {
 		if len(sc.Regions) != 1 {
 			t.Fatalf("%s should deploy one region, got %d", sc.Name, len(sc.Regions))
 		}
@@ -38,30 +34,22 @@ func TestMegaregionScenarioShapes(t *testing.T) {
 	if sharded.Regions[0].Region.Shards != MegaregionShards {
 		t.Fatalf("megaregion-sharded Shards = %d, want %d", sharded.Regions[0].Region.Shards, MegaregionShards)
 	}
-	if parallel.Regions[0].Region.Shards != MegaregionShards {
-		t.Fatalf("megaregion-parallel Shards = %d, want %d", parallel.Regions[0].Region.Shards, MegaregionShards)
+	if sharded.VMC.TickWorkers != MegaregionShards || sharded.EventWorkers != MegaregionShards {
+		t.Fatalf("megaregion-sharded TickWorkers/EventWorkers = %d/%d, want one goroutine per shard",
+			sharded.VMC.TickWorkers, sharded.EventWorkers)
 	}
-	if parallel.VMC.TickWorkers <= 1 {
-		t.Fatalf("megaregion-parallel TickWorkers = %d, want > 1", parallel.VMC.TickWorkers)
-	}
-	// Apart from the shard split the two scenarios must describe the same
+	// Apart from the shard split and the fan-outs, which the determinism
+	// contract makes byte-neutral, the two scenarios must describe the same
 	// deployment, so their results are comparable.
 	m, s := mega.Regions[0], sharded.Regions[0]
 	s.Region.Shards = m.Region.Shards
-	if !reflect.DeepEqual(m.Region, s.Region) || m.Clients != s.Clients {
+	if !reflect.DeepEqual(m, s) {
 		t.Fatalf("megaregion variants diverge beyond the shard count:\n%+v\n%+v", m, s)
 	}
-	// And megaregion-parallel must be megaregion-sharded plus the tick
-	// fan-out, nothing else — that is what makes the byte-equivalence test
-	// between the two meaningful.
-	p := parallel.Regions[0]
-	if !reflect.DeepEqual(sharded.Regions[0], p) {
-		t.Fatalf("megaregion-parallel region diverges from megaregion-sharded:\n%+v\n%+v", sharded.Regions[0], p)
-	}
-	pv := parallel.VMC
-	pv.TickWorkers = sharded.VMC.TickWorkers
-	if !reflect.DeepEqual(sharded.VMC, pv) {
-		t.Fatalf("megaregion-parallel VMC diverges beyond TickWorkers:\n%+v\n%+v", sharded.VMC, pv)
+	sv := sharded.VMC
+	sv.TickWorkers = mega.VMC.TickWorkers
+	if !reflect.DeepEqual(mega.VMC, sv) {
+		t.Fatalf("megaregion variants' VMC configs diverge beyond TickWorkers:\n%+v\n%+v", mega.VMC, sv)
 	}
 }
 
@@ -75,7 +63,7 @@ func TestMegaregionDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("runs a 5x10^3-VM scenario three times")
 	}
 	jobs, err := Matrix{
-		Scenarios: []string{"megaregion", "megaregion-sharded", "megaregion-parallel"},
+		Scenarios: []string{"megaregion", "megaregion-sharded"},
 		Policies:  []string{"policy2"},
 		BaseSeed:  42,
 		Horizon:   4 * simclock.Minute,

@@ -38,17 +38,14 @@ func registryText(t *testing.T, name string, eventWorkers int) string {
 
 // TestRegistrySnapshotDeterminism replays a gossip GSLB deployment at
 // EventWorkers 0, 1, 4 and GOMAXPROCS and requires identical exposition
-// bytes.  GSLB scenarios promote EventWorkers 0 to the event loop (they
-// always run epochal), so all four configurations are the same engine — any
-// divergence would mean an instrument was written off the barrier or from
-// unmerged per-shard state.
+// bytes — any divergence would mean an instrument was written off the
+// barrier or from unmerged per-shard state.
 func TestRegistrySnapshotDeterminism(t *testing.T) {
 	ref := registryText(t, "global-gossip", 0)
 	if ref == "" {
 		t.Fatal("empty exposition")
 	}
-	workerCounts := append([]int{1}, eventLoopWorkerCounts()...)
-	for _, workers := range workerCounts {
+	for _, workers := range eventLoopWorkerCounts()[1:] {
 		if got := registryText(t, "global-gossip", workers); got != ref {
 			t.Fatalf("EventWorkers=%d exposition diverged from EventWorkers=0\n--- got ---\n%.3000s\n--- want ---\n%.3000s", workers, got, ref)
 		}

@@ -40,20 +40,18 @@ type Scenario struct {
 	Predictor acm.PredictorMode
 	// VMC configures the per-region controllers.
 	VMC pcam.Config
-	// EventWorkers selects the sharded event loop: with a value >= 1 every
-	// region shard runs its own sub-engine and the shard loops execute on up
-	// to this many goroutines in lockstep epochs, with cross-shard effects
-	// delivered through mailboxes at epoch barriers.  Zero keeps the serial
-	// single-queue engine (byte-identical to the pre-event-loop behaviour);
-	// results are byte-identical across all values >= 1.
+	// EventWorkers is the goroutine count of the sharded event loop every
+	// deployment runs on: each region shard runs its own sub-engine and the
+	// shard loops execute on up to this many goroutines in lockstep epochs,
+	// with cross-shard effects delivered through mailboxes at epoch
+	// barriers.  Results are byte-identical for every value; zero is
+	// normalised to 1 (the inline run).
 	EventWorkers int
 	// EventEpoch overrides the lockstep epoch width of the sharded event
 	// loop (simclock.DefaultEpoch when zero).
 	EventEpoch simclock.Duration
 	// GSLB enables the global traffic director with the given routing
-	// policy, health-probe cadence and failover thresholds.  A GSLB scenario
-	// always runs on the sharded event loop (EventWorkers 0 is promoted to
-	// 1), so its output is byte-identical for every EventWorkers value.
+	// policy, health-probe cadence and failover thresholds.
 	GSLB gslb.Config
 	// GlobalClients attaches this many emulated browsers to the director
 	// instead of a fixed region.
@@ -111,7 +109,6 @@ type Scenario struct {
 	TraceSampleFraction float64
 	// FlightRecorder enables the engine flight recorder: per-epoch per-shard
 	// busy/idle/mailbox-drain accounting plus control-tick phase timings.
-	// Requires the sharded event loop (EventWorkers >= 1 or a GSLB config).
 	FlightRecorder bool
 	// TailFraction is the fraction of the run treated as steady state when
 	// judging convergence and oscillation (0.4 when zero).
@@ -152,6 +149,9 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.ConvergenceTolerance <= 0 {
 		s.ConvergenceTolerance = 0.3
+	}
+	if s.EventWorkers < 1 {
+		s.EventWorkers = 1
 	}
 	return s
 }
@@ -345,12 +345,12 @@ const (
 )
 
 // megaregionScenario builds one region with a 5x10^3-VM pool split across the
-// given number of engine shards, with the control tick fanned out to
-// tickWorkers goroutines (<= 1 keeps the sequential tick).  The client
-// population is sized to keep the run affordable in tests while still pushing
-// hundreds of requests per second through the load balancer — the O(pool)
-// per-request scan is precisely what sharding removes.
-func megaregionScenario(name string, seed uint64, shards, tickWorkers int) Scenario {
+// given number of engine shards, with the event loop and the control tick
+// each fanned out to one goroutine per shard (the inline run for one shard).
+// The client population is sized to keep the run affordable in tests while
+// still pushing hundreds of requests per second through the load balancer —
+// the O(pool) per-request scan is precisely what sharding removes.
+func megaregionScenario(name string, seed uint64, shards int) Scenario {
 	region := cloudsim.RegionConfig{
 		Name:           "megaregion",
 		Provider:       "aws",
@@ -367,14 +367,15 @@ func megaregionScenario(name string, seed uint64, shards, tickWorkers int) Scena
 		Regions: []acm.RegionSetup{
 			{Region: region, Clients: 2000, Mix: workload.BrowsingMix()},
 		},
-		Horizon: 30 * simclock.Minute,
+		Horizon:      30 * simclock.Minute,
+		EventWorkers: shards,
 		VMC: pcam.Config{
 			// At 5x10^3 VMs the per-VM request trickle keeps every predicted
 			// RTTF far above the default 600 s threshold anyway; elasticity
 			// stays off so the scenario isolates the dispatch/scan path that
 			// sharding optimises.
 			ElasticityEnabled: false,
-			TickWorkers:       tickWorkers,
+			TickWorkers:       shards,
 		},
 	}.withDefaults()
 }
@@ -383,51 +384,30 @@ func megaregionScenario(name string, seed uint64, shards, tickWorkers int) Scena
 // 5x10^3-VM pool managed as one engine shard, the configuration whose
 // whole-pool scans the sharded engine replaces.
 func MegaregionScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion", seed, 1, 1)
+	return megaregionScenario("megaregion", seed, 1)
 }
 
 // MegaregionShardedScenario is the same 5x10^3-VM region split across
-// MegaregionShards engine shards: per-request dispatch and the controller
-// scans touch pool/16 VMs instead of the whole pool.  The control tick still
-// walks the shards sequentially.
+// MegaregionShards engine shards, each its own sub-engine servicing its
+// arrivals, completions and rejuvenation timers: per-request dispatch and
+// the controller scans touch pool/16 VMs instead of the whole pool.  The
+// event loop and the control tick's per-shard phase each run on one
+// goroutine per shard.  Its results are byte-identical for every
+// EventWorkers and TickWorkers value at any GOMAXPROCS (the event-loop
+// equivalence suite pins that), so the fan-outs only trade wall-clock time
+// for cores.
 func MegaregionShardedScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion-sharded", seed, MegaregionShards, 1)
-}
-
-// MegaregionParallelScenario is the 16-shard megaregion with the control
-// tick's per-shard phase fanned out to one goroutine per shard — the
-// wall-clock parallel configuration.  Its results are byte-identical to
-// megaregion-sharded's at every GOMAXPROCS: the parallel phase writes only
-// shard-local state and the merge phase folds the partials in shard-index
-// order.
-func MegaregionParallelScenario(seed uint64) Scenario {
-	return megaregionScenario("megaregion-parallel", seed, MegaregionShards, MegaregionShards)
-}
-
-// MegaregionEventLoopScenario is the 16-shard megaregion with the event loop
-// itself fanned out: every shard runs as its own sub-engine servicing its
-// arrivals, completions and rejuvenation timers in parallel (one goroutine
-// per shard), with the control tick also fanned out at the epoch barriers.
-// Unlike megaregion-parallel — which only parallelised the control tick's
-// monitor/analyze phase — this parallelises request service, the bulk of the
-// run.  Its results are byte-identical for every EventWorkers >= 1 at any
-// GOMAXPROCS (the event-loop equivalence suite pins that); they
-// intentionally differ from the serial megaregion-sharded bytes, because
-// cross-shard effects are epoch-quantised.
-func MegaregionEventLoopScenario(seed uint64) Scenario {
-	sc := megaregionScenario("megaregion-eventloop", seed, MegaregionShards, MegaregionShards)
-	sc.EventWorkers = MegaregionShards
-	return sc
+	return megaregionScenario("megaregion-sharded", seed, MegaregionShards)
 }
 
 // Figure4EventLoopScenario is the figure4 deployment with every region split
 // across 3 engine shards and the event loop fanned out: the richest
 // cross-shard traffic the repo has (three heterogeneous regions, the global
-// forward plan continuously redirecting requests between them, standby
-// promotions and reactive recoveries crossing shards through mailboxes).
-// It is the determinism workhorse of the parallel event loop: the
-// equivalence suite runs it at EventWorkers 1, 4 and GOMAXPROCS and demands
-// byte-identical output.
+// forward plan continuously redirecting requests between them, empty-shard
+// hops, standby promotions and reactive recoveries crossing shards through
+// mailboxes).  It is the determinism workhorse of the event loop: the
+// equivalence suite runs it at EventWorkers 0, 1, 4 and GOMAXPROCS and
+// demands byte-identical output.
 func Figure4EventLoopScenario(seed uint64) Scenario {
 	sc := Figure4Scenario(seed)
 	sc.Name = "figure4-eventloop"
@@ -449,8 +429,7 @@ func Figure4EventLoopScenario(seed uint64) Scenario {
 // (~16.7k interactions/s) within the 4x10^3-VM pool's capacity, mirroring
 // how real mega-populations are mostly idle at any instant.
 func MegaclientsScenario(seed uint64) Scenario {
-	sc := megaregionScenario("megaclients", seed, MegaregionShards, MegaregionShards)
-	sc.EventWorkers = MegaregionShards
+	sc := megaregionScenario("megaclients", seed, MegaregionShards)
 	sc.Regions[0].Clients = 0
 	sc.Regions[0].CohortClients = 1_000_000
 	sc.ThinkTime = 60 * simclock.Second

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -173,10 +172,7 @@ func TestGlobalTracedWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs global-traced once per worker count")
 	}
-	counts := []int{0, 1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		counts = append(counts, p)
-	}
+	counts := eventLoopWorkerCounts()
 	ref, _, _ := runTraced(t, counts[0], 10*simclock.Minute)
 	for _, workers := range counts[1:] {
 		got, _, _ := runTraced(t, workers, 10*simclock.Minute)

@@ -1,7 +1,7 @@
-// Event-loop-per-shard support for the VMC: when the deployment runs on a
-// simclock.ShardedEngine, every region shard owns a private sub-engine and
-// services its arrivals, completions and rejuvenation timers in parallel with
-// the other shards.  The VMC's job splits accordingly:
+// Event-loop-per-shard support for the VMC: a deployment runs on a
+// simclock.ShardedEngine, where every region shard owns a private sub-engine
+// and services its arrivals, completions and rejuvenation timers in parallel
+// with the other shards.  The VMC's job splits accordingly:
 //
 //   - Request dispatch becomes shard-local (SubmitShard): the client
 //     population attached to a shard submits to that shard's ACTIVE VMs,
@@ -11,8 +11,8 @@
 //   - Cross-shard reactions move to the epoch barrier: a VM failure posts
 //     its reactive recovery to the control timeline, where the controller
 //     promotes a standby (possibly on another shard) and restarts the failed
-//     VM on its own sub-engine — the direct cross-shard mutation the serial
-//     hook performed becomes a mailbox post.
+//     VM on its own sub-engine — the cross-shard mutation the plain-engine
+//     hook performs inline becomes a mailbox post.
 //   - The periodic control tick runs on the control timeline at its exact
 //     interval, with exclusive access to all shards, exactly as before; its
 //     per-shard monitor/analyze phase still fans out via ParallelPhase.
@@ -62,7 +62,7 @@ func (v *VMC) Sharded() bool { return v.se != nil }
 
 // engineForVM returns the engine a timed transition of vm must be scheduled
 // on: the VM's shard sub-engine when the controller runs sharded, otherwise
-// the engine in hand (the serial engine).
+// the engine in hand (a plain, unsharded engine).
 func (v *VMC) engineForVM(eng *simclock.Engine, vm *cloudsim.VM) *simclock.Engine {
 	if v.shardEngines != nil {
 		return v.shardEngines[vm.ShardIndex()]
@@ -95,8 +95,7 @@ func (v *VMC) hookVMSharded(vm *cloudsim.VM) {
 // (ties broken by a per-shard round-robin cursor).  When the shard has no
 // ACTIVE VM the request hops to the next shard through its mailbox — never
 // by touching the foreign shard directly — and is dropped once every shard
-// has been tried.  With one shard this is exactly the serial Submit's
-// whole-pool shortest-queue balancer.
+// has been tried.  Within the shard it makes Submit's shortest-queue pick.
 func (v *VMC) SubmitShard(eng *simclock.Engine, shard int, req *cloudsim.Request) {
 	v.submitShard(eng, shard, req, 0)
 }
@@ -112,14 +111,7 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 		v.hopToShard(eng, (shard+1)%v.region.NumShards(), req, hops+1)
 		return
 	}
-	lb.rr++
-	best := lb.active[lb.rr%len(lb.active)]
-	for i, vm := range lb.active {
-		if vm.QueueLength() < best.QueueLength() {
-			best = lb.active[i]
-		}
-	}
-	best.Dispatch(eng, req)
+	shortestQueue(lb.active, &lb.rr).Dispatch(eng, req)
 }
 
 // hopToShard forwards a request to another shard's mailbox.  Before the
@@ -131,7 +123,7 @@ func (v *VMC) submitShard(eng *simclock.Engine, shard int, req *cloudsim.Request
 // that wrapper already posts to the true home shard.
 func (v *VMC) hopToShard(eng *simclock.Engine, next int, req *cloudsim.Request, hops int) {
 	if req.OnDoneCtx == nil {
-		req.RehomeOnDone(v.se, v.se.LaneOf(eng), nil)
+		req.RehomeOnDone(v.se, v.se.LaneOf(eng), 0)
 	}
 	if req.Trace != nil {
 		// Guarded so the detail string is only built for sampled requests.

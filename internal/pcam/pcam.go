@@ -216,7 +216,8 @@ type VMC struct {
 
 	// Sharded-event-loop state (eventloop.go): the owning ShardedEngine, the
 	// sub-engine of each region shard, and the per-shard load-balancer
-	// slices.  All nil/empty when the controller runs on the serial engine.
+	// slices.  All nil/empty when the controller runs on a plain engine
+	// (Start instead of StartSharded).
 	se           *simclock.ShardedEngine
 	shardEngines []*simclock.Engine
 	lbs          []shardLB
@@ -364,7 +365,9 @@ func (v *VMC) hookVM(eng *simclock.Engine, vm *cloudsim.VM) {
 // both spreads load and avoids pushing work onto a VM that is already
 // struggling.  Shards with no ACTIVE VM (e.g. mid-rejuvenation) are skipped;
 // when no shard has one the request is dropped.  With one shard this is
-// exactly the classic whole-pool shortest-queue balancer.
+// exactly the classic whole-pool shortest-queue balancer.  Submit serves a
+// controller started on a plain engine (Start); a deployment's sharded
+// event loop dispatches through SubmitShard instead.
 func (v *VMC) Submit(eng *simclock.Engine, req *cloudsim.Request) {
 	active := v.submitActive[:0]
 	for tries, n := 0, v.region.NumShards(); tries < n; tries++ {
@@ -378,14 +381,21 @@ func (v *VMC) Submit(eng *simclock.Engine, req *cloudsim.Request) {
 		req.Finish(eng, cloudsim.Outcome{Request: req, Region: v.region.Name(), Start: eng.Now(), End: eng.Now(), Dropped: true})
 		return
 	}
-	v.rr++
-	best := active[v.rr%len(active)]
-	for i, vm := range active {
+	shortestQueue(active, &v.rr).Dispatch(eng, req)
+}
+
+// shortestQueue returns the ACTIVE VM with the shortest queue.  Ties go to
+// the VM the round-robin cursor rr points at (advanced on every pick), or
+// else to the earliest in scan order.  active must not be empty.
+func shortestQueue(active []*cloudsim.VM, rr *int) *cloudsim.VM {
+	*rr++
+	best := active[*rr%len(active)]
+	for _, vm := range active {
 		if vm.QueueLength() < best.QueueLength() {
-			best = active[i]
+			best = vm
 		}
 	}
-	best.Dispatch(eng, req)
+	return best
 }
 
 // vmPrediction couples one ACTIVE VM with its freshly predicted RTTF and the

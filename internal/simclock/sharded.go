@@ -15,7 +15,7 @@ import (
 // Events that stay shard-local (an arrival dispatched to a VM of the shard,
 // its service start, its completion, a rejuvenation timer of a shard-owned
 // VM) execute fully in parallel: each shard's loop pops its own queue in
-// (time, seq) order exactly like the serial engine, and because shards own
+// (time, seq) order exactly like a plain Engine, and because shards own
 // disjoint state and disjoint RNG streams, the result of an epoch is
 // independent of how the shard goroutines interleave.
 //
@@ -209,7 +209,12 @@ func (se *ShardedEngine) pendingPosts() bool {
 // a fresh lane:
 // posts to a destination not yet folded at this barrier are delivered in the
 // same pass (the fold is serial, so this stays deterministic); posts to an
-// already-folded destination wait for the next barrier.
+// already-folded destination — the lane being drained included — wait for
+// the next barrier.
+//
+// A drained lane keeps its backing array, cleared so the delivered closures
+// can be collected, which makes steady-state posting allocation-free.  A
+// lane re-posted during its own drain keeps the new slice instead.
 func (se *ShardedEngine) drain() {
 	lanes := len(se.shards) + 1
 	for dst := 0; dst < lanes; dst++ {
@@ -223,6 +228,10 @@ func (se *ShardedEngine) drain() {
 			for _, p := range lane {
 				p.fn(target)
 				se.drainedPosts++
+			}
+			clear(lane)
+			if se.outbox[src][dst] == nil {
+				se.outbox[src][dst] = lane[:0]
 			}
 		}
 	}

@@ -227,4 +227,56 @@ func TestShardedEnginePostFromDrainSameBarrier(t *testing.T) {
 	if !reflect.DeepEqual(log, want) {
 		t.Fatalf("drain-time post log = %v, want %v", log, want)
 	}
+
+	// A post to the very lane being drained (shard 1 re-posting to itself
+	// while its self-lane is folded) is delivered exactly once, at the next
+	// barrier — never in the same pass and never twice, even though the
+	// drained lane's backing array is reused.
+	se = NewShardedEngine(3, 5, 100*Millisecond, 1)
+	log = nil
+	se.Shard(1).ScheduleFunc(10*Millisecond, func(e *Engine) {
+		se.Post(e, 1, func(dst *Engine) {
+			log = append(log, fmt.Sprintf("first@%v", dst.Now()))
+			se.Post(dst, 1, func(again *Engine) {
+				log = append(log, fmt.Sprintf("again@%v", again.Now()))
+			})
+		})
+		se.Post(e, 1, func(dst *Engine) {
+			log = append(log, fmt.Sprintf("second@%v", dst.Now()))
+		})
+	})
+	if err := se.Run(500 * Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want = []string{"first@[s=0.100]", "second@[s=0.100]", "again@[s=0.200]"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("self-lane re-post log = %v, want %v", log, want)
+	}
+	if se.DrainedPosts() != 3 {
+		t.Fatalf("DrainedPosts() = %d, want 3", se.DrainedPosts())
+	}
+}
+
+// TestShardedEnginePostDrainAllocsNothing pins the mailbox's steady state:
+// once every lane has grown to its working size, posting a prebuilt closure
+// and draining it at the barrier allocates nothing.
+func TestShardedEnginePostDrainAllocsNothing(t *testing.T) {
+	se := NewShardedEngine(3, 5, 100*Millisecond, 1)
+	delivered := 0
+	fn := func(*Engine) { delivered++ }
+	step := func() {
+		for i := 0; i < 4; i++ {
+			se.Post(se.Shard(0), 2, fn)
+			se.Post(se.Shard(2), 0, fn)
+			se.PostControl(se.Shard(1), fn)
+		}
+		se.drain()
+	}
+	step() // grow the lanes
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("steady-state Post + drain allocates %v times, want 0", allocs)
+	}
+	if want := 12 * 102; delivered != want {
+		t.Fatalf("delivered %d posts, want %d", delivered, want)
+	}
 }

@@ -255,7 +255,7 @@ func (e *Engine) Run(horizon Duration) error {
 
 // runEpoch executes every live event with a timestamp <= end in (time, seq)
 // order and advances the clock to end.  It is the per-shard slice of one
-// lockstep epoch (sharded.go): exactly the serial engine's loop, bounded by
+// lockstep epoch (sharded.go): exactly Run's loop, bounded by
 // the epoch barrier instead of a horizon, with the executing flag raised so
 // the cross-shard scheduling guard can tell this engine's own loop apart
 // from a foreign goroutine.

@@ -140,13 +140,11 @@ func Interactions() []Interaction {
 	return out
 }
 
-// Pick draws one interaction from the mix using the provided RNG.
+// Pick draws one interaction from the mix using the provided RNG.  It reads
+// the weights in place, so a draw allocates nothing.
 func (m Mix) Pick(rng *simclock.RNG) Interaction {
-	weights := make([]float64, len(m.Entries))
-	for i, e := range m.Entries {
-		weights[i] = e.Weight
-	}
-	return m.Entries[rng.Choice(weights)]
+	entries := m.Entries
+	return entries[rng.ChoiceFunc(len(entries), func(i int) float64 { return entries[i].Weight })]
 }
 
 // MeanServiceFactor returns the weighted mean service factor of the mix, used

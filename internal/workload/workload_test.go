@@ -348,6 +348,29 @@ func TestServiceFactorsPositive(t *testing.T) {
 	}
 }
 
+// TestMixPickMatchesChoice pins Pick to RNG.Choice over the mix's weights:
+// the in-place draw must consume the same variates and land on the same
+// interaction, so replacing the weights slice changed no simulation byte.
+// It also requires the draw to allocate nothing.
+func TestMixPickMatchesChoice(t *testing.T) {
+	for _, m := range []Mix{BrowsingMix(), ShoppingMix(), OrderingMix()} {
+		weights := make([]float64, len(m.Entries))
+		for i, e := range m.Entries {
+			weights[i] = e.Weight
+		}
+		a, b := simclock.NewRNG(5), simclock.NewRNG(5)
+		for i := 0; i < 10000; i++ {
+			if got, want := m.Pick(a).Name, m.Entries[b.Choice(weights)].Name; got != want {
+				t.Fatalf("%s draw %d: Pick = %s, Choice = %s", m.Name, i, got, want)
+			}
+		}
+	}
+	m, rng := BrowsingMix(), simclock.NewRNG(1)
+	if allocs := testing.AllocsPerRun(1000, func() { m.Pick(rng) }); allocs != 0 {
+		t.Fatalf("Mix.Pick allocates %v times per draw, want 0", allocs)
+	}
+}
+
 func BenchmarkMixPick(b *testing.B) {
 	m := BrowsingMix()
 	rng := simclock.NewRNG(1)
