@@ -217,9 +217,6 @@ func (c Config) withDefaults() Config {
 	if c.TracerFraction == 0 {
 		c.TracerFraction = 0.01
 	}
-	if c.EventEpoch <= 0 {
-		c.EventEpoch = simclock.DefaultEpoch
-	}
 	return c
 }
 
