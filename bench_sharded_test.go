@@ -99,7 +99,7 @@ func BenchmarkRegionSharded_Parallel_16(b *testing.B) { runShardedRegionBench(b,
 // shard-locally (request j enters shard j mod 16), so the serviced path —
 // the bulk of the run — executes fully in parallel, unlike the _Parallel
 // variants above which only parallelise the control tick.  The ns/op ratio
-// of BenchmarkRegionSharded_16 (serial event loop, same shard count) to
+// of BenchmarkRegionSharded_16 (one plain engine, same shard count) to
 // BenchmarkRegionSharded_EventLoop_16 is the request-service speedup on a
 // multi-core host; on a single core the expectation is rough neutrality
 // (epoch barriers must cost no more than a few percent).
