@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -139,60 +138,71 @@ func goldenFromResult(r *Result) (goldenSummary, error) {
 	return g, nil
 }
 
-// figureGoldenScenarios are the deployments the figure golden table pins:
-// the paper's two experiments, plus figure4 with 3-shard regions — the only
-// scenario combining intra-region shard hops with cross-region forwarding.
-var figureGoldenScenarios = []string{"figure3", "figure4", "figure4-eventloop"}
+// figureGoldenScenarios are the paper's two experiments the figure golden
+// table pins.
+var figureGoldenScenarios = []string{"figure3", "figure4"}
 
 // TestGoldenFigureScenarios runs the figure scenarios under each of the
 // paper's three policies at their default configuration and compares the
 // byte-pinned summary against testdata/golden.
 func TestGoldenFigureScenarios(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs nine 30-minute simulations")
+		t.Skip("runs six 30-minute simulations")
 	}
 	for _, name := range figureGoldenScenarios {
 		for _, np := range Policies() {
 			np := np
-			t.Run(name+"/"+np.Key, func(t *testing.T) {
-				sc, err := BuildScenario(name, 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc.Horizon = goldenHorizon
-				res, err := Run(sc, np)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g, err := goldenFromResult(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.MarshalIndent(g, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-
-				path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s.json", name, np.Key))
-				if *updateGolden {
-					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					t.Logf("wrote %s", path)
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden file (run with -update to record): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("summary drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-				}
-			})
+			name := name
+			t.Run(name+"/"+np.Key, func(t *testing.T) { checkGoldenScenario(t, name, np) })
 		}
+	}
+}
+
+// TestGoldenEventLoopScenarios pins figure4 with 3-shard regions — the only
+// scenario combining intra-region shard hops with cross-region forwarding —
+// under each policy, the same way as the figure table.
+func TestGoldenEventLoopScenarios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three 30-minute simulations")
+	}
+	for _, np := range Policies() {
+		np := np
+		t.Run("figure4-eventloop/"+np.Key, func(t *testing.T) { checkGoldenScenario(t, "figure4-eventloop", np) })
+	}
+}
+
+// checkGoldenScenario runs one scenario under one policy for goldenHorizon at
+// seed 42 and compares its summary with testdata/golden/<name>-<policy>.json,
+// or rewrites that file under -update.
+func checkGoldenScenario(t *testing.T, name string, np NamedPolicy) {
+	t.Helper()
+	sc, err := BuildScenario(name, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Horizon = goldenHorizon
+	res, err := Run(sc, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := eventLoopFingerprint(t, res)
+
+	path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s.json", name, np.Key))
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to record): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("summary drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
