@@ -331,9 +331,14 @@ func TestSampleProducesFullFeatureVector(t *testing.T) {
 	if v.VM != "vm1" {
 		t.Fatalf("sample VM = %q", v.VM)
 	}
-	for _, name := range features.AllNames() {
-		if _, ok := v.Values[name]; !ok {
-			t.Errorf("feature %s missing from sample", name)
+	// Every feature with a positive floor reads > 0 once the VM has served.
+	for _, name := range []features.Name{
+		features.MemUsedMB, features.HeapMB, features.ThreadCount,
+		features.DiskUsedMB, features.NetConnections, features.ContextSwitches,
+		features.OpenFiles, features.UptimeSec,
+	} {
+		if v.Get(name) <= 0 {
+			t.Errorf("feature %s = %v, want > 0", name, v.Get(name))
 		}
 	}
 	if v.Get(features.RequestRate) <= 0 {
@@ -522,6 +527,38 @@ func TestTrueRTTFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVMSampleAllocatesNothing pins the control tick's per-VM cost: a
+// feature sample is a plain value, so taking one allocates nothing.
+func TestVMSampleAllocatesNothing(t *testing.T) {
+	eng, vm := newTestVM(t, "vm1")
+	vm.Activate(eng)
+	now := eng.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		now = now.Add(simclock.Second)
+		sinkVector = vm.Sample(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("VM.Sample allocates %v times per call, want 0", allocs)
+	}
+}
+
+// sinkVector keeps benchmarked samples observable so the calls are not
+// optimised away.
+var sinkVector features.Vector
+
+func BenchmarkVMSample(b *testing.B) {
+	eng := simclock.NewEngine(1)
+	vm := NewVM(testVMConfig("bench"), eng.RNG().Fork())
+	vm.Activate(eng)
+	now := eng.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(simclock.Second)
+		sinkVector = vm.Sample(now)
 	}
 }
 

@@ -17,69 +17,113 @@ import (
 	"strconv"
 )
 
-// Name identifies one monitored system feature.
-type Name string
+// Name identifies one monitored system feature.  It is the feature's index
+// in AllNames order, which is also its slot in Vector.Values; String returns
+// the feature's text name as written in CSV headers and reports.
+type Name uint8
 
 // The feature set collected from each VM.  It mirrors the kind of metrics
 // F2PM gathers (memory, swap, CPU, threads, response time); the exact list is
 // intentionally wider than what the models end up using, because part of the
 // F2PM workflow is selecting the relevant subset via Lasso regularisation.
 const (
-	MemUsedMB        Name = "mem_used_mb"        // resident memory used by the server process
-	MemFreeMB        Name = "mem_free_mb"        // free physical memory on the VM
-	SwapUsedMB       Name = "swap_used_mb"       // swap space in use
-	HeapMB           Name = "heap_mb"            // application heap footprint
-	ThreadCount      Name = "thread_count"       // live threads in the server process
-	ZombieThreads    Name = "zombie_threads"     // unterminated (leaked) threads
-	CPUUtilization   Name = "cpu_utilization"    // [0,1] utilisation of the VM's vCPUs
-	CPUTimeSec       Name = "cpu_time_s"         // cumulative CPU seconds consumed
-	DiskUsedMB       Name = "disk_used_mb"       // virtual disk occupancy
-	NetConnections   Name = "net_connections"    // open TCP connections
-	RequestRate      Name = "request_rate"       // requests/second observed in the last interval
-	ResponseTimeMs   Name = "response_time_ms"   // mean response time in the last interval
-	QueueLength      Name = "queue_length"       // pending requests queued at the VM
-	PageFaultRate    Name = "page_fault_rate"    // page faults/second
-	ContextSwitches  Name = "context_switches"   // context switches/second
-	UptimeSec        Name = "uptime_s"           // seconds since the last rejuvenation
-	GCPauseMs        Name = "gc_pause_ms"        // garbage-collector pause time in the last interval
-	OpenFiles        Name = "open_files"         // open file descriptors
-	SocketsTimeWait  Name = "sockets_time_wait"  // sockets lingering in TIME_WAIT
-	AnomalyEventRate Name = "anomaly_event_rate" // injected anomaly events/second (observable only in simulation)
+	MemUsedMB        Name = iota // resident memory used by the server process
+	MemFreeMB                    // free physical memory on the VM
+	SwapUsedMB                   // swap space in use
+	HeapMB                       // application heap footprint
+	ThreadCount                  // live threads in the server process
+	ZombieThreads                // unterminated (leaked) threads
+	CPUUtilization               // [0,1] utilisation of the VM's vCPUs
+	CPUTimeSec                   // cumulative CPU seconds consumed
+	DiskUsedMB                   // virtual disk occupancy
+	NetConnections               // open TCP connections
+	RequestRate                  // requests/second observed in the last interval
+	ResponseTimeMs               // mean response time in the last interval
+	QueueLength                  // pending requests queued at the VM
+	PageFaultRate                // page faults/second
+	ContextSwitches              // context switches/second
+	UptimeSec                    // seconds since the last rejuvenation
+	GCPauseMs                    // garbage-collector pause time in the last interval
+	OpenFiles                    // open file descriptors
+	SocketsTimeWait              // sockets lingering in TIME_WAIT
+	AnomalyEventRate             // injected anomaly events/second (observable only in simulation)
 )
+
+// NumFeatures is the number of monitored features: the length of
+// Vector.Values and of AllNames.
+const NumFeatures = int(AnomalyEventRate) + 1
+
+// nameText holds the text name of each feature, indexed by Name.
+var nameText = [NumFeatures]string{
+	MemUsedMB:        "mem_used_mb",
+	MemFreeMB:        "mem_free_mb",
+	SwapUsedMB:       "swap_used_mb",
+	HeapMB:           "heap_mb",
+	ThreadCount:      "thread_count",
+	ZombieThreads:    "zombie_threads",
+	CPUUtilization:   "cpu_utilization",
+	CPUTimeSec:       "cpu_time_s",
+	DiskUsedMB:       "disk_used_mb",
+	NetConnections:   "net_connections",
+	RequestRate:      "request_rate",
+	ResponseTimeMs:   "response_time_ms",
+	QueueLength:      "queue_length",
+	PageFaultRate:    "page_fault_rate",
+	ContextSwitches:  "context_switches",
+	UptimeSec:        "uptime_s",
+	GCPauseMs:        "gc_pause_ms",
+	OpenFiles:        "open_files",
+	SocketsTimeWait:  "sockets_time_wait",
+	AnomalyEventRate: "anomaly_event_rate",
+}
+
+// String returns the feature's text name ("mem_used_mb", ...).
+func (n Name) String() string { return nameText[n] }
+
+// parseName returns the feature whose text name is s.
+func parseName(s string) (Name, bool) {
+	for i, text := range nameText {
+		if text == s {
+			return Name(i), true
+		}
+	}
+	return 0, false
+}
 
 // AllNames returns the canonical ordered list of feature names.  The order is
 // stable so feature vectors can be flattened into ML design matrices
 // deterministically.
 func AllNames() []Name {
-	return []Name{
-		MemUsedMB, MemFreeMB, SwapUsedMB, HeapMB, ThreadCount, ZombieThreads,
-		CPUUtilization, CPUTimeSec, DiskUsedMB, NetConnections, RequestRate,
-		ResponseTimeMs, QueueLength, PageFaultRate, ContextSwitches, UptimeSec,
-		GCPauseMs, OpenFiles, SocketsTimeWait, AnomalyEventRate,
+	out := make([]Name, NumFeatures)
+	for i := range out {
+		out[i] = Name(i)
 	}
+	return out
 }
 
 // Vector is one sample of all monitored features at a given time on a given
-// VM.
+// VM.  The values are stored densely in AllNames order — Values[n] is feature
+// n — so a Vector is a plain value that is built and copied without
+// allocating.
 type Vector struct {
 	// TimeS is the simulated timestamp of the sample in seconds.
 	TimeS float64
 	// VM identifies the virtual machine the sample was taken from.
 	VM string
-	// Values maps feature names to measured values.
-	Values map[Name]float64
+	// Values holds the measured value of every feature, indexed by Name.
+	Values [NumFeatures]float64
 }
 
-// NewVector returns an empty vector for the given VM and time.
+// NewVector returns a vector for the given VM and time with every feature 0.
 func NewVector(vm string, timeS float64) Vector {
-	return Vector{TimeS: timeS, VM: vm, Values: map[Name]float64{}}
+	return Vector{TimeS: timeS, VM: vm}
 }
 
-// Get returns the value of the named feature (0 when absent).
+// Get returns the value of the named feature (0 when never set).
 func (v Vector) Get(n Name) float64 { return v.Values[n] }
 
 // Set stores the value of the named feature.
-func (v Vector) Set(n Name, val float64) { v.Values[n] = val }
+func (v *Vector) Set(n Name, val float64) { v.Values[n] = val }
 
 // Flatten returns the values of the requested features in order.
 func (v Vector) Flatten(names []Name) []float64 {
@@ -197,11 +241,13 @@ func (d *Dataset) VMs() []string {
 }
 
 // WriteCSV serialises the dataset as CSV: time, vm, features..., rttf.
+// Numbers are written in their shortest exact form, so ReadCSV reads back the
+// same values.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{"time_s", "vm"}
 	for _, f := range d.Features {
-		header = append(header, string(f))
+		header = append(header, f.String())
 	}
 	header = append(header, "rttf_s")
 	if err := cw.Write(header); err != nil {
@@ -209,13 +255,13 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	}
 	for _, s := range d.Samples {
 		row := []string{
-			strconv.FormatFloat(s.Vector.TimeS, 'g', 10, 64),
+			formatFloat(s.Vector.TimeS),
 			s.Vector.VM,
 		}
 		for _, f := range d.Features {
-			row = append(row, strconv.FormatFloat(s.Vector.Get(f), 'g', 10, 64))
+			row = append(row, formatFloat(s.Vector.Get(f)))
 		}
-		row = append(row, strconv.FormatFloat(s.RTTFSeconds, 'g', 10, 64))
+		row = append(row, formatFloat(s.RTTFSeconds))
 		if err := cw.Write(row); err != nil {
 			return err
 		}
@@ -224,7 +270,11 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a dataset previously written with WriteCSV.
+// formatFloat renders x in the shortest form that parses back to x exactly.
+func formatFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+
+// ReadCSV parses a dataset previously written with WriteCSV.  Every feature
+// column must name a known feature, and at most once.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -239,8 +289,17 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("features: malformed header %v", header)
 	}
 	feats := make([]Name, 0, len(header)-3)
+	var seen [NumFeatures]bool
 	for _, h := range header[2 : len(header)-1] {
-		feats = append(feats, Name(h))
+		f, ok := parseName(h)
+		if !ok {
+			return nil, fmt.Errorf("features: unknown feature column %q", h)
+		}
+		if seen[f] {
+			return nil, fmt.Errorf("features: feature column %q given twice", h)
+		}
+		seen[f] = true
+		feats = append(feats, f)
 	}
 	d := NewDataset(feats)
 	for li, row := range rows[1:] {

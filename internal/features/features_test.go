@@ -2,6 +2,7 @@ package features
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -126,13 +127,18 @@ func TestDatasetVMs(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
+// roundTripDataset is the dataset TestCSVRoundTrip writes and reads back;
+// its CSV form also seeds FuzzReadCSV.
+func roundTripDataset() *Dataset {
 	d := NewDataset([]Name{MemUsedMB, ThreadCount, ResponseTimeMs})
 	d.Add(Sample{Vector: sampleVector("vm1", 0, 100), RTTFSeconds: 300})
 	d.Add(Sample{Vector: sampleVector("vm2", 5, 150), RTTFSeconds: 250})
+	return d
+}
 
+func TestCSVRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
+	if err := roundTripDataset().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCSV(&buf)
@@ -148,6 +154,51 @@ func TestCSVRoundTrip(t *testing.T) {
 	if got.Samples[0].Vector.Get(MemUsedMB) != 100 {
 		t.Fatal("feature value lost in round trip")
 	}
+}
+
+// FuzzReadCSV checks that any input either fails to parse or yields a
+// dataset that survives a WriteCSV -> ReadCSV round trip unchanged.
+func FuzzReadCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := roundTripDataset().WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("time_s,vm,rttf_s\n")
+	f.Add("time_s,vm,mem_used_mb,rttf_s\n0.1234567890123,\"vm,1\",NaN,-Inf\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		d, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := d.WriteCSV(&out); err != nil {
+			t.Fatalf("WriteCSV of a parsed dataset: %v", err)
+		}
+		back, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("ReadCSV of written CSV %q: %v", out.String(), err)
+		}
+		if !slices.Equal(back.Features, d.Features) {
+			t.Fatalf("features %v, want %v", back.Features, d.Features)
+		}
+		if back.Len() != d.Len() {
+			t.Fatalf("%d samples, want %d", back.Len(), d.Len())
+		}
+		same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+		for i, want := range d.Samples {
+			got := back.Samples[i]
+			if got.Vector.VM != want.Vector.VM || !same(got.Vector.TimeS, want.Vector.TimeS) ||
+				!same(got.RTTFSeconds, want.RTTFSeconds) {
+				t.Fatalf("sample %d = %+v, want %+v", i, got, want)
+			}
+			for _, n := range d.Features {
+				if !same(got.Vector.Get(n), want.Vector.Get(n)) {
+					t.Fatalf("sample %d feature %s = %v, want %v", i, n, got.Vector.Get(n), want.Vector.Get(n))
+				}
+			}
+		}
+	})
 }
 
 func TestReadCSVErrors(t *testing.T) {
@@ -168,6 +219,20 @@ func TestReadCSVErrors(t *testing.T) {
 	bad = "time_s,vm,mem_used_mb,rttf_s\n1,vm1,1,yy\n"
 	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 		t.Fatal("non-numeric label should error")
+	}
+	// A feature column must name a known feature, and at most once; the
+	// error names the offending column.
+	for _, c := range []struct{ in, column string }{
+		{"time_s,vm,mem_used_mb,bogus_metric,rttf_s\n1,vm1,1,2,3\n", "bogus_metric"},
+		{"time_s,vm,mem_used_mb,heap_mb,mem_used_mb,rttf_s\n1,vm1,1,2,3,4\n", "mem_used_mb"},
+	} {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil {
+			t.Fatalf("column %s should error", c.column)
+		}
+		if !strings.Contains(err.Error(), `"`+c.column+`"`) {
+			t.Fatalf("error %q does not name column %s", err, c.column)
+		}
 	}
 }
 

@@ -308,6 +308,17 @@ func DispatcherAdapter(v *VMC) workload.Dispatcher {
 	return workload.DispatcherFunc(func(eng *simclock.Engine, req *cloudsim.Request) { v.Submit(eng, req) })
 }
 
+// TestControlTickAllocatesNothing pins the steady-state control tick of a
+// region with nothing to rejuvenate: sampling, prediction and the per-shard
+// sort all reuse the VMC's scratch, so a tick allocates nothing.
+func TestControlTickAllocatesNothing(t *testing.T) {
+	eng := simclock.NewEngine(1)
+	vmc := newTestVMC(t, testRegion(1), OraclePredictor{}, Config{ElasticityEnabled: false})
+	if allocs := testing.AllocsPerRun(100, func() { vmc.ControlTick(eng) }); allocs != 0 {
+		t.Fatalf("ControlTick allocates %v times per call, want 0", allocs)
+	}
+}
+
 func BenchmarkControlTick(b *testing.B) {
 	eng := simclock.NewEngine(1)
 	region := testRegion(1)
