@@ -60,8 +60,7 @@ func main() {
 		beta        = flag.Float64("beta", 0.5, "RMTTF smoothing factor of equation (1)")
 		interval    = flag.Float64("interval", 60, "control loop interval in seconds")
 		shards      = flag.Int("shards", 0, "split every region's VM pool across this many engine shards (0 keeps each scenario's own setting)")
-		tickWork    = flag.Int("tick-workers", 0, "fan the per-shard control-tick phase out to this many goroutines, capped at the shard count (1 = sequential, 0 keeps each scenario's own setting)")
-		eventWork   = flag.Int("event-workers", 0, "run the event loop's shard loops on this many goroutines (1 = inline, 0 keeps each scenario's own setting; the output is byte-identical for every value)")
+		eventWork   = flag.Int("event-workers", 0, "run the event loop's shard loops, and each control tick's per-shard phase, on this many goroutines (1 = inline, 0 keeps each scenario's own setting; the output is byte-identical for every value)")
 		gslbPol     = flag.String("gslb-policy", "", "global-traffic-director routing policy: static, rr, leastload, failover or latency (overrides the scenario's own setting)")
 		rttSpec     = flag.String("rtt", "", "per-stream round-trip matrix for latency-aware routing, milliseconds per deployed region: \"global=60,120;americas=80,140\" (overrides the scenario's own RTT rows)")
 		mix         = flag.String("mix", "browsing", "TPC-W mix: browsing, shopping or ordering")
@@ -133,7 +132,7 @@ func main() {
 		// flag alongside -scenarios would be silently ignored, so reject it.
 		for _, f := range []string{"scenario", "config", "dump-config", "regions", "clients", "mix",
 			"cohort-clients", "tracer-fraction",
-			"policy", "predictor", "beta", "interval", "shards", "tick-workers", "event-workers",
+			"policy", "predictor", "beta", "interval", "shards", "event-workers",
 			"gslb-policy", "rtt", "csv", "metrics-addr", "trace-out", "trace-sample"} {
 			if explicit[f] {
 				fmt.Fprintf(os.Stderr, "acmsim: -%s does not apply to sweeps (-scenarios); see -policies/-betas/-sweep-csv\n", f)
@@ -153,7 +152,7 @@ func main() {
 		}
 	}
 
-	if err := run(*regions, *clients, *cohorts, *tracerFr, *policy, *predictor, *mix, *hours, *seed, *beta, *interval, *shards, *tickWork, *eventWork, *gslbPol, *rttSpec, *csvPath, *metricsAddr, *traceOut, *traceSample, *config, *scenario, *dumpPath, explicit); err != nil {
+	if err := run(*regions, *clients, *cohorts, *tracerFr, *policy, *predictor, *mix, *hours, *seed, *beta, *interval, *shards, *eventWork, *gslbPol, *rttSpec, *csvPath, *metricsAddr, *traceOut, *traceSample, *config, *scenario, *dumpPath, explicit); err != nil {
 		fmt.Fprintln(os.Stderr, "acmsim:", err)
 		os.Exit(1)
 	}
@@ -174,7 +173,7 @@ func runMatrix(sweep *cli.SweepFlags, seed uint64, hours float64, explicit map[s
 	return experiment.RunSweepAndEmit(context.Background(), m, sweep.Options(), *sweep.Journal, *sweep.CSV, *sweep.JSON, os.Stdout)
 }
 
-func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, tickWorkers, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {
+func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, policyKey, predictor, mixName string, hours float64, seed uint64, beta, intervalS float64, shards, eventWorkers int, gslbPolicy, rttSpec, csvPath, metricsAddr, traceOut string, traceSample float64, configPath, scenarioName, dumpPath string, explicit map[string]bool) error {
 	np, err := experiment.PolicyByKey(policyKey)
 	if err != nil {
 		return err
@@ -306,22 +305,11 @@ func run(regionSpec, clientSpec, cohortSpec string, tracerFraction float64, poli
 			}
 		}
 	}
-	// -tick-workers picks the control tick's goroutine fan-out the same way:
-	// 0 keeps the scenario's own setting, anything >= 1 overrides it (1 forces
-	// the sequential tick).  The output is byte-identical either way; the flag
-	// only trades wall-clock time for cores.
-	if explicit["tick-workers"] {
-		if tickWorkers < 0 {
-			return fmt.Errorf("-tick-workers must be >= 0, got %d", tickWorkers)
-		}
-		if tickWorkers > 0 {
-			scenario.VMC.TickWorkers = tickWorkers
-		}
-	}
-	// -event-workers picks the event loop's shard-loop goroutine count the
+	// -event-workers picks the event loop's shard-loop goroutine count —
+	// the width the control tick's per-shard phase fans out to as well — the
 	// same way: 0 keeps the scenario's own setting, anything >= 1 overrides
-	// it (1 runs the shard loops inline).  The output is byte-identical
-	// either way.
+	// it (1 runs the shard loops and the tick inline).  The output is
+	// byte-identical either way.
 	if explicit["event-workers"] {
 		if eventWorkers < 0 {
 			return fmt.Errorf("-event-workers must be >= 0, got %d", eventWorkers)
@@ -518,9 +506,8 @@ func parseRegions(regionSpec, clientSpec, cohortSpec, mixName string) ([]acm.Reg
 }
 
 // printReport prints the end-of-run state: figures, metrics and counters.
-// Everything it reads comes through the backend seam — the recorder, the
-// client metrics and the Results snapshot — so a future live backend gets
-// the same report for free.
+// Everything it reads comes through the backend seam: the recorder, the
+// client metrics and the Results snapshot.
 func printReport(b backend.Backend) {
 	rec := b.Recorder()
 	final := b.Results()

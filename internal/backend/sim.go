@@ -14,12 +14,6 @@ type Simulated struct {
 	mgr *acm.Manager
 }
 
-func init() {
-	Register(KindSimulated, func(cfg acm.Config) (Backend, error) {
-		return NewSimulated(cfg)
-	})
-}
-
 // NewSimulated assembles the simulated deployment.
 func NewSimulated(cfg acm.Config) (*Simulated, error) {
 	mgr, err := acm.NewManager(cfg)
@@ -31,7 +25,7 @@ func NewSimulated(cfg acm.Config) (*Simulated, error) {
 
 // Manager exposes the underlying simulator for callers that need
 // sim-specific surfaces (tests scheduling fault injection through the
-// engine, the equivalence suites).  Live backends have no counterpart.
+// engine, the equivalence suites).
 func (s *Simulated) Manager() *acm.Manager { return s.mgr }
 
 // Run drives the simulation for the given horizon.

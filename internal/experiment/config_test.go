@@ -58,8 +58,17 @@ func TestLoadScenarioValidation(t *testing.T) {
 	if _, err := LoadScenario(strings.NewReader(`{"Name":"x","Regions":[{"Region":{"Name":"r"},"Clients":10}]}`)); err == nil {
 		t.Errorf("a region without an instance type should be rejected")
 	}
-	if _, err := LoadScenario(strings.NewReader(`{"Name":"x","Unknown":1}`)); err == nil {
-		t.Errorf("unknown fields should be rejected")
+	// Unknown fields fail by name — among them the keys an older
+	// -dump-config wrote for options since deleted.
+	for key, raw := range map[string]string{
+		"Unknown":     `{"Name":"x","Unknown":1}`,
+		"TickWorkers": `{"Name":"x","VMC":{"TickWorkers":4}}`,
+		"Backend":     `{"Name":"x","Backend":"sim"}`,
+	} {
+		_, err := LoadScenario(strings.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("unknown field %s: error %v, want one naming the key", key, err)
+		}
 	}
 }
 

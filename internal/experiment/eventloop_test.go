@@ -3,9 +3,11 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/cloudsim"
 	"repro/internal/simclock"
 )
 
@@ -143,39 +145,46 @@ func TestEventLoopRunTwiceDeterministic(t *testing.T) {
 }
 
 // TestMegaregionEventLoopEquivalence pins the 16-shard megaregion — the
-// scale configuration the event loop exists for — across both fan-outs on a
-// shortened horizon (the full scenario is benchmark territory): TickWorkers
-// {1, 16} x EventWorkers {1, 16} must all produce the same bytes.
+// scale configuration the event loop exists for — on a shortened horizon
+// (the full scenario is benchmark territory): EventWorkers 1 and 16, and
+// with them the control tick's inline and fanned-out per-shard phase, must
+// produce the same summary bytes and the same per-shard statistics.  Under
+// -race with GOMAXPROCS > 1 this is also the mutation audit of the tick's
+// parallel phase: any cross-shard write would trip the detector.
 func TestMegaregionEventLoopEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a 5x10^3-VM region once per worker combination")
+		t.Skip("builds a 5x10^3-VM region once per worker count")
 	}
 	np, err := PolicyByKey("policy2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref []byte
-	for _, tick := range []int{1, MegaregionShards} {
-		for _, event := range []int{1, MegaregionShards} {
-			sc, err := BuildScenario("megaregion-sharded", 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.Horizon = 5 * simclock.Minute
-			sc.VMC.TickWorkers = tick
-			sc.EventWorkers = event
-			res, err := Run(sc, np)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := eventLoopFingerprint(t, res)
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !bytes.Equal(got, ref) {
-				t.Fatalf("megaregion-sharded TickWorkers=%d EventWorkers=%d diverged from TickWorkers=1 EventWorkers=1", tick, event)
-			}
+	var refStats map[string][]cloudsim.Stats
+	for _, workers := range []int{1, MegaregionShards} {
+		sc, err := BuildScenario("megaregion-sharded", 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Horizon = 5 * simclock.Minute
+		sc.EventWorkers = workers
+		res, b, err := RunBackend(sc, np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats := eventLoopFingerprint(t, res), b.Results().ShardStats
+		if len(stats["megaregion"]) != MegaregionShards {
+			t.Fatalf("EventWorkers=%d: %d shard stats, want %d", workers, len(stats["megaregion"]), MegaregionShards)
+		}
+		if ref == nil {
+			ref, refStats = got, stats
+			continue
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("megaregion-sharded EventWorkers=%d diverged from EventWorkers=1", workers)
+		}
+		if !reflect.DeepEqual(stats, refStats) {
+			t.Fatalf("megaregion-sharded EventWorkers=%d produced different ShardStats than EventWorkers=1:\n%+v\n%+v", workers, stats, refStats)
 		}
 	}
 }

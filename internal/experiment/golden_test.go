@@ -153,7 +153,32 @@ func TestGoldenFigureScenarios(t *testing.T) {
 		for _, np := range Policies() {
 			np := np
 			name := name
-			t.Run(name+"/"+np.Key, func(t *testing.T) { checkGoldenScenario(t, name, np) })
+			t.Run(name+"/"+np.Key, func(t *testing.T) { checkGoldenScenario(t, name, np, 0) })
+		}
+	}
+}
+
+// TestParallelTickReproducesGoldens replays the figure goldens under every
+// policy with the event loop fanned out to 4 and GOMAXPROCS goroutines — the
+// width the control tick's per-shard phase follows too.  The figure regions
+// have one shard each, so the tick itself runs inline; what this pins is
+// that no fanned-out width moves a byte of the paper's figures under any
+// policy (TestEventLoopWorkersEquivalence compares the widths under policy2
+// only).
+func TestParallelTickReproducesGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reruns the six golden simulations per worker count")
+	}
+	for _, workers := range eventLoopWorkerCounts() {
+		if workers <= 1 {
+			continue // the inline loop TestGoldenFigureScenarios already runs
+		}
+		for _, name := range figureGoldenScenarios {
+			for _, np := range Policies() {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, np.Key, workers), func(t *testing.T) {
+					checkGoldenScenario(t, name, np, workers)
+				})
+			}
 		}
 	}
 }
@@ -167,20 +192,24 @@ func TestGoldenEventLoopScenarios(t *testing.T) {
 	}
 	for _, np := range Policies() {
 		np := np
-		t.Run("figure4-eventloop/"+np.Key, func(t *testing.T) { checkGoldenScenario(t, "figure4-eventloop", np) })
+		t.Run("figure4-eventloop/"+np.Key, func(t *testing.T) { checkGoldenScenario(t, "figure4-eventloop", np, 0) })
 	}
 }
 
 // checkGoldenScenario runs one scenario under one policy for goldenHorizon at
-// seed 42 and compares its summary with testdata/golden/<name>-<policy>.json,
-// or rewrites that file under -update.
-func checkGoldenScenario(t *testing.T, name string, np NamedPolicy) {
+// seed 42 — at eventWorkers shard-loop goroutines when that is positive, at
+// the scenario's own count otherwise — and compares its summary with
+// testdata/golden/<name>-<policy>.json, or rewrites that file under -update.
+func checkGoldenScenario(t *testing.T, name string, np NamedPolicy, eventWorkers int) {
 	t.Helper()
 	sc, err := BuildScenario(name, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Horizon = goldenHorizon
+	if eventWorkers > 0 {
+		sc.EventWorkers = eventWorkers
+	}
 	res, err := Run(sc, np)
 	if err != nil {
 		t.Fatal(err)

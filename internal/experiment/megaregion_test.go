@@ -34,11 +34,10 @@ func TestMegaregionScenarioShapes(t *testing.T) {
 	if sharded.Regions[0].Region.Shards != MegaregionShards {
 		t.Fatalf("megaregion-sharded Shards = %d, want %d", sharded.Regions[0].Region.Shards, MegaregionShards)
 	}
-	if sharded.VMC.TickWorkers != MegaregionShards || sharded.EventWorkers != MegaregionShards {
-		t.Fatalf("megaregion-sharded TickWorkers/EventWorkers = %d/%d, want one goroutine per shard",
-			sharded.VMC.TickWorkers, sharded.EventWorkers)
+	if sharded.EventWorkers != MegaregionShards {
+		t.Fatalf("megaregion-sharded EventWorkers = %d, want one goroutine per shard", sharded.EventWorkers)
 	}
-	// Apart from the shard split and the fan-outs, which the determinism
+	// Apart from the shard split and the fan-out, which the determinism
 	// contract makes byte-neutral, the two scenarios must describe the same
 	// deployment, so their results are comparable.
 	m, s := mega.Regions[0], sharded.Regions[0]
@@ -46,10 +45,8 @@ func TestMegaregionScenarioShapes(t *testing.T) {
 	if !reflect.DeepEqual(m, s) {
 		t.Fatalf("megaregion variants diverge beyond the shard count:\n%+v\n%+v", m, s)
 	}
-	sv := sharded.VMC
-	sv.TickWorkers = mega.VMC.TickWorkers
-	if !reflect.DeepEqual(mega.VMC, sv) {
-		t.Fatalf("megaregion variants' VMC configs diverge beyond TickWorkers:\n%+v\n%+v", mega.VMC, sv)
+	if mega.VMC != sharded.VMC {
+		t.Fatalf("megaregion variants' VMC configs diverge:\n%+v\n%+v", mega.VMC, sharded.VMC)
 	}
 }
 

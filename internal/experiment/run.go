@@ -99,15 +99,12 @@ func RunBackend(sc Scenario, np NamedPolicy) (*Result, backend.Backend, error) {
 }
 
 // TraceArtifacts returns the span tracer and the flight recorder of a
-// finished backend, for Chrome-trace export and utilization reports.  Both
-// are nil unless the backend is the simulator with the corresponding plane
-// enabled (TraceSampleFraction > 0, FlightRecorder true).
+// finished backend, for Chrome-trace export and utilization reports.  Each
+// is nil unless its plane is enabled (TraceSampleFraction > 0,
+// FlightRecorder true).
 func TraceArtifacts(b backend.Backend) (*tracing.Tracer, *simclock.FlightRecorder) {
-	sim, ok := b.(*backend.Simulated)
-	if !ok {
-		return nil, nil
-	}
-	return sim.Manager().Tracer(), sim.Manager().FlightRecorder()
+	mgr := b.(*backend.Simulated).Manager()
+	return mgr.Tracer(), mgr.FlightRecorder()
 }
 
 // RunAllPolicies runs the scenario under the paper's three policies — one

@@ -116,10 +116,6 @@ type Scenario struct {
 	// ConvergenceTolerance is the relative RMTTF spread below which the
 	// regions are considered converged (0.3 when zero).
 	ConvergenceTolerance float64
-	// Backend selects which backend.Backend implementation realises the
-	// deployment ("" and "sim" both select the simulator).  Plain string so
-	// scenarios stay JSON round-trippable.
-	Backend string
 }
 
 // ValidateBeta rejects smoothing factors that withDefaults would silently
@@ -193,14 +189,13 @@ func (s Scenario) ManagerConfig(p core.Policy) acm.Config {
 	}
 }
 
-// NewBackend builds a fresh deployment from the scenario and the policy,
-// through the backend seam (the scenario's Backend field picks the
-// implementation; the simulator by default).  The policy is cloned first, so
-// callers may reuse one NamedPolicy across concurrent runs even for stateful
-// policies such as Policy 3.
+// NewBackend builds a fresh deployment from the scenario and the policy
+// behind the backend seam.  The policy is cloned first, so callers may reuse
+// one NamedPolicy across concurrent runs even for stateful policies such as
+// Policy 3.
 func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 	sc = sc.withDefaults()
-	b, err := backend.New(sc.Backend, sc.ManagerConfig(core.ClonePolicy(np.Policy)))
+	b, err := backend.NewSimulated(sc.ManagerConfig(core.ClonePolicy(np.Policy)))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: scenario %s policy %s: %w", sc.Name, np.Key, err)
 	}
@@ -208,19 +203,14 @@ func NewBackend(sc Scenario, np NamedPolicy) (backend.Backend, error) {
 }
 
 // NewManager builds a fresh simulated deployment from the scenario and the
-// policy.  It goes through the backend seam and unwraps the simulator, so the
-// equivalence and determinism suites can keep scheduling through the engine;
-// scenarios selecting a non-simulator backend must use NewBackend instead.
+// policy and returns its manager, so the equivalence and determinism suites
+// can schedule through the engine.
 func NewManager(sc Scenario, np NamedPolicy) (*acm.Manager, error) {
 	b, err := NewBackend(sc, np)
 	if err != nil {
 		return nil, err
 	}
-	sim, ok := b.(*backend.Simulated)
-	if !ok {
-		return nil, fmt.Errorf("experiment: scenario %s selects backend %q, which is not the simulator", sc.Name, sc.Backend)
-	}
-	return sim.Manager(), nil
+	return b.(*backend.Simulated).Manager(), nil
 }
 
 // RegionNames returns the region names of the scenario in order.
@@ -345,8 +335,9 @@ const (
 )
 
 // megaregionScenario builds one region with a 5x10^3-VM pool split across the
-// given number of engine shards, with the event loop and the control tick
-// each fanned out to one goroutine per shard (the inline run for one shard).
+// given number of engine shards, with the event loop — and with it the
+// control tick's per-shard phase — fanned out to one goroutine per shard
+// (the inline run for one shard).
 // The client population is sized to keep the run affordable in tests while
 // still pushing hundreds of requests per second through the load balancer —
 // the O(pool) per-request scan is precisely what sharding removes.
@@ -375,7 +366,6 @@ func megaregionScenario(name string, seed uint64, shards int) Scenario {
 			// stays off so the scenario isolates the dispatch/scan path that
 			// sharding optimises.
 			ElasticityEnabled: false,
-			TickWorkers:       shards,
 		},
 	}.withDefaults()
 }
@@ -391,11 +381,11 @@ func MegaregionScenario(seed uint64) Scenario {
 // MegaregionShards engine shards, each its own sub-engine servicing its
 // arrivals, completions and rejuvenation timers: per-request dispatch and
 // the controller scans touch pool/16 VMs instead of the whole pool.  The
-// event loop and the control tick's per-shard phase each run on one
-// goroutine per shard.  Its results are byte-identical for every
-// EventWorkers and TickWorkers value at any GOMAXPROCS (the event-loop
-// equivalence suite pins that), so the fan-outs only trade wall-clock time
-// for cores.
+// event loop runs on one goroutine per shard, and the control tick's
+// per-shard phase fans out at the same width.  Its results are
+// byte-identical for every EventWorkers value at any GOMAXPROCS (the
+// event-loop equivalence suite pins that), so the fan-out only trades
+// wall-clock time for cores.
 func MegaregionShardedScenario(seed uint64) Scenario {
 	return megaregionScenario("megaregion-sharded", seed, MegaregionShards)
 }

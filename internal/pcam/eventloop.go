@@ -15,7 +15,9 @@
 //     hook performs inline becomes a mailbox post.
 //   - The periodic control tick runs on the control timeline at its exact
 //     interval, with exclusive access to all shards, exactly as before; its
-//     per-shard monitor/analyze phase still fans out via ParallelPhase.
+//     per-shard monitor/analyze phase fans out via ParallelPhase at the
+//     ShardedEngine's Workers() width, so the event loop's worker count is
+//     the deployment's one parallelism setting.
 package pcam
 
 import (

@@ -1,7 +1,9 @@
 package simclock
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -20,7 +22,55 @@ import (
 // enforces the scheduling half of that contract at runtime: Schedule /
 // ScheduleAt / Ticker panic when called during a parallel phase, so a
 // cross-shard mutation that reaches the event queue is caught immediately
-// instead of surfacing as a nondeterministic run.
+// instead of surfacing as a nondeterministic run.  A panic on a worker
+// goroutine, that guard's included, comes back to the caller (WorkerPanic).
+
+// WorkerPanic is what a fan-out re-panics with on its calling goroutine when
+// a call on one of its worker goroutines panicked.  The lowest panicking
+// index wins, so the value does not depend on goroutine interleaving.  An
+// inline fan-out (one worker) lets a panic through unchanged.
+type WorkerPanic struct {
+	Index    int  // the ForEach/ParallelPhase index, or the shard lane of ShardedEngine.Run
+	Lane     bool // set by ShardedEngine.Run, with the end of the epoch the lane was running to
+	EpochEnd Time
+	Value    any    // the original panic value
+	Stack    []byte // the worker's stack at the panic; kept out of Error, whose text is deterministic
+}
+
+// Error names the index, or the lane and epoch end, and the original value.
+func (p *WorkerPanic) Error() string {
+	if p.Lane {
+		return fmt.Sprintf("simclock: shard lane %d panicked in the epoch ending at %v: %v", p.Index, p.EpochEnd, p.Value)
+	}
+	return fmt.Sprintf("simclock: fan-out index %d panicked: %v", p.Index, p.Value)
+}
+
+// Unwrap returns the original panic value when it is an error.
+func (p *WorkerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// panicSlot keeps the lowest-index panic of one fan-out; read p only after
+// the fan-out's barrier.
+type panicSlot struct {
+	mu sync.Mutex
+	p  *WorkerPanic
+}
+
+// call runs fn(i), recording the panic it raises, if any.
+func (s *panicSlot) call(i int, fn func(int)) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.p == nil || i < s.p.Index {
+				s.p = &WorkerPanic{Index: i, Value: v, Stack: debug.Stack()}
+			}
+		}
+	}()
+	fn(i)
+}
 
 // ForEach runs fn(0), ..., fn(n-1) on up to workers goroutines and blocks
 // until every call has returned (the barrier).  With workers <= 1 — or n <= 1
@@ -31,7 +81,8 @@ import (
 // Indices are handed out through an atomic counter (work stealing), so
 // workers that finish cheap indices immediately pick up the next one and an
 // uneven cost distribution across indices does not serialise the phase.  fn
-// must be safe to call concurrently for distinct indices.
+// must be safe to call concurrently for distinct indices.  A worker's panic
+// is re-panicked here as a *WorkerPanic once every call has returned.
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -50,6 +101,7 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panics panicSlot
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -59,11 +111,14 @@ func ForEach(n, workers int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				panics.call(i, fn)
 			}
 		}()
 	}
 	wg.Wait()
+	if panics.p != nil {
+		panic(panics.p)
+	}
 }
 
 // ParallelPhase runs fn(0), ..., fn(n-1) on up to workers goroutines from

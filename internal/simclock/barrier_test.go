@@ -1,6 +1,8 @@
 package simclock
 
 import (
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -104,4 +106,61 @@ func TestParallelPhaseRejectsNesting(t *testing.T) {
 	if !panicked {
 		t.Fatal("nested ParallelPhase must panic")
 	}
+}
+
+// TestParallelPhaseWorkerPanicReachesCaller pins panic containment in the
+// fan-out: the scheduling guard firing on a worker goroutine comes back to
+// the event handler as a *WorkerPanic naming the lowest panicking index,
+// after every call has run, instead of killing the process from the worker.
+func TestParallelPhaseWorkerPanicReachesCaller(t *testing.T) {
+	eng := NewEngine(1)
+	var ran atomic.Int32
+	var recovered any
+	eng.ScheduleFunc(1, func(e *Engine) {
+		defer func() { recovered = recover() }()
+		e.ParallelPhase(8, 4, func(i int) {
+			ran.Add(1)
+			if i == 5 || i == 7 {
+				e.ScheduleFunc(1, func(*Engine) {})
+			}
+		})
+	})
+	eng.RunUntilEmpty()
+	wp, ok := recovered.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *WorkerPanic", recovered, recovered)
+	}
+	if wp.Index != 5 || wp.Lane {
+		t.Fatalf("WorkerPanic index %d lane %v, want fan-out index 5", wp.Index, wp.Lane)
+	}
+	if msg := wp.Error(); !strings.Contains(msg, "index 5") || !strings.Contains(msg, "Schedule during a parallel phase") {
+		t.Fatalf("WorkerPanic message %q does not name the index and the guard", msg)
+	}
+	if len(wp.Stack) == 0 {
+		t.Fatal("WorkerPanic carries no worker stack")
+	}
+	if got := ran.Load(); got != 8 {
+		t.Fatalf("%d of 8 calls ran before the re-panic, want all", got)
+	}
+	if eng.InParallelPhase() {
+		t.Fatal("engine still marked in parallel phase after the panic unwound")
+	}
+}
+
+// TestForEachWorkerPanicUnwraps checks that a worker's error panic stays
+// reachable through errors.Is on the re-panicked value.
+func TestForEachWorkerPanicUnwraps(t *testing.T) {
+	boom := errors.New("boom")
+	defer func() {
+		wp, ok := recover().(*WorkerPanic)
+		if !ok || wp.Index != 3 || !errors.Is(wp, boom) {
+			t.Fatalf("recovered %#v, want a *WorkerPanic at index 3 wrapping %v", wp, boom)
+		}
+	}()
+	ForEach(6, 3, func(i int) {
+		if i == 3 {
+			panic(boom)
+		}
+	})
+	t.Fatal("ForEach returned despite a worker panic")
 }

@@ -112,6 +112,19 @@ func NewShardedEngine(n int, seed uint64, epoch Duration, workers int) *ShardedE
 // included).
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
+// Workers returns the number of goroutines the shard phase of Run fans out
+// to: the configured count, or GOMAXPROCS when that is <= 0, capped at
+// NumShards().  1 means the shard loops run inline.  Controllers on the
+// control timeline fan their per-shard phases out at the same width, so this
+// one count is a deployment's whole parallelism setting.
+func (se *ShardedEngine) Workers() int {
+	workers := se.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, len(se.shards))
+}
+
 // Shard returns the i-th sub-engine.
 func (se *ShardedEngine) Shard(i int) *Engine { return se.shards[i] }
 
@@ -243,18 +256,20 @@ func (se *ShardedEngine) drain() {
 // workers live for the whole run and pull shard indices off a channel —
 // work-stealing, like ForEach — with a WaitGroup as the per-epoch barrier.
 type shardPool struct {
-	se   *ShardedEngine
-	work chan int
-	wg   sync.WaitGroup
-	end  Time // epoch end; written before the sends of an epoch, read by workers after the receive
+	se     *ShardedEngine
+	work   chan int
+	wg     sync.WaitGroup
+	end    Time // epoch end; written before the sends of an epoch, read by workers after the receive
+	panics panicSlot
 }
 
 func newShardPool(se *ShardedEngine, workers int) *shardPool {
 	p := &shardPool{se: se, work: make(chan int, len(se.shards))}
+	runShard := func(i int) { p.se.shards[i].runEpoch(p.end) }
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range p.work {
-				p.se.shards[i].runEpoch(p.end)
+				p.panics.call(i, runShard)
 				p.wg.Done()
 			}
 		}()
@@ -263,7 +278,7 @@ func newShardPool(se *ShardedEngine, workers int) *shardPool {
 }
 
 // runEpoch fans one epoch out to the pool and blocks until every shard's
-// loop has reached tEnd.
+// loop has reached tEnd, then re-panics the epoch's lowest-lane panic.
 func (p *shardPool) runEpoch(tEnd Time) {
 	p.end = tEnd
 	p.wg.Add(len(p.se.shards))
@@ -271,6 +286,11 @@ func (p *shardPool) runEpoch(tEnd Time) {
 		p.work <- i
 	}
 	p.wg.Wait()
+	if wp := p.panics.p; wp != nil {
+		p.se.inShardPhase.Store(false)
+		wp.Lane, wp.EpochEnd = true, tEnd
+		panic(wp)
+	}
 }
 
 func (p *shardPool) close() { close(p.work) }
@@ -282,21 +302,15 @@ func (p *shardPool) close() { close(p.work) }
 // due.  The epoch end is clamped to the next control event's timestamp, so
 // control events never fire late.  Like Engine.Run it returns
 // ErrHorizonReached when live events remain beyond the horizon, and nil when
-// the system drained.
+// the system drained.  A panic on a shard goroutine is re-panicked here as a
+// *WorkerPanic naming the lane and the epoch end.
 func (se *ShardedEngine) Run(horizon Duration) error {
 	h := Time(horizon)
 	if math.IsInf(float64(h), 1) {
 		panic("simclock: ShardedEngine.Run needs a finite horizon")
 	}
-	workers := se.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(se.shards) {
-		workers = len(se.shards)
-	}
 	var pool *shardPool
-	if workers > 1 {
+	if workers := se.Workers(); workers > 1 {
 		pool = newShardPool(se, workers)
 		defer pool.close()
 	}

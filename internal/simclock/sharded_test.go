@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestShardedEngineControlEventsFireAtExactTimes pins the epoch-clamping
@@ -101,6 +103,39 @@ func TestShardedEngineForeignSchedulePanics(t *testing.T) {
 	}
 	if recovered == nil {
 		t.Fatal("scheduling on a foreign sub-engine during the shard phase did not panic")
+	}
+}
+
+// TestShardedEngineShardPanicReachesRun pins panic containment in the shard
+// pool: an event that panics on a shard goroutine comes back out of Run as a
+// *WorkerPanic naming the lane and the epoch end, and the pool's goroutines
+// still exit.
+func TestShardedEngineShardPanicReachesRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	se := NewShardedEngine(2, 1, 100*Millisecond, 2)
+	se.Shard(0).ScheduleFunc(150*Millisecond, func(*Engine) {})
+	se.Shard(1).ScheduleFunc(150*Millisecond, func(*Engine) { panic("shard 1 broke") })
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_ = se.Run(1 * Second)
+	}()
+	wp, ok := recovered.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *WorkerPanic", recovered, recovered)
+	}
+	if !wp.Lane || wp.Index != 1 || wp.EpochEnd != Time(200*Millisecond) || wp.Value != "shard 1 broke" {
+		t.Fatalf("WorkerPanic = lane %v index %d epoch end %v value %v, want lane 1 in the epoch ending at 0.2 s",
+			wp.Lane, wp.Index, wp.EpochEnd, wp.Value)
+	}
+	if msg := wp.Error(); !strings.Contains(msg, "lane 1") || !strings.Contains(msg, Time(200*Millisecond).String()) {
+		t.Fatalf("WorkerPanic message %q does not name the lane and the epoch end", msg)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the panic, %d before Run: the shard pool was not closed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
