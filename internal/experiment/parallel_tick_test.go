@@ -2,100 +2,27 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/cloudsim"
 	"repro/internal/simclock"
 )
 
-// tickWorkerCounts are the control-tick fan-outs every equivalence test runs:
-// the sequential fast path, a fixed multi-goroutine count, and whatever the
-// host offers (deduplicated — on a 4-core host GOMAXPROCS is already 4).
-// Byte-identical output across all of them — on any GOMAXPROCS — is the
-// determinism contract of the parallel tick engine.
-func tickWorkerCounts() []int {
-	counts := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		counts = append(counts, p)
-	}
-	return counts
-}
-
-// TestParallelTickReproducesGoldens pins the parallel control tick to the
-// golden byte-pins recorded before it existed: figure3 and figure4 under
-// every policy must produce the exact golden summary (including the SHA-256
-// of every raw series) for tick-workers 1, 4 and GOMAXPROCS.
-//
-// The figure regions are single-shard, so what this pins is the flag's
-// neutrality: setting TickWorkers on a deployment with nothing to fan out
-// must not move a single byte (ControlTick must treat it as the sequential
-// fast path, not a different code path).  The multi-shard parallel phase
-// itself is exercised against goldens-equivalent sequential runs by
-// TestFigureShardedParallelEquivalence and TestShardedTickWorkersEquivalence
-// below.
-func TestParallelTickReproducesGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reruns the six golden simulations per worker count")
-	}
-	for _, workers := range tickWorkerCounts() {
-		if workers == 1 {
-			// TickWorkers <= 1 is the exact code path TestGoldenFigureScenarios
-			// already pins at the default configuration; rerunning it here
-			// would double the suite for no extra coverage.
-			continue
-		}
-		workers := workers
-		for _, name := range []string{"figure3", "figure4"} {
-			for _, np := range Policies() {
-				np := np
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, np.Key, workers), func(t *testing.T) {
-					sc, err := BuildScenario(name, 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sc.Horizon = goldenHorizon
-					sc.VMC.TickWorkers = workers
-					res, err := Run(sc, np)
-					if err != nil {
-						t.Fatal(err)
-					}
-					g, err := goldenFromResult(res)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := json.MarshalIndent(g, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, '\n')
-					path := filepath.Join("testdata", "golden", fmt.Sprintf("%s-%s.json", name, np.Key))
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden file: %v", err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("tick-workers=%d drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s", workers, path, got, want)
-					}
-				})
-			}
-		}
-	}
-}
+// The control tick's per-shard monitor/analyze phase fans out at the event
+// loop's width (ShardedEngine.Workers), so the tests below vary EventWorkers
+// on multi-shard deployments, where that phase genuinely runs through
+// Engine.ParallelPhase.  The figure regions are single-shard; their goldens
+// are replayed at the fanned-out widths by TestParallelTickReproducesGoldens.
 
 // TestFigureShardedParallelEquivalence drives the parallel phase through the
 // richest control-tick paths the repo has: the figure4 deployment (three
 // heterogeneous regions, elasticity on, staggered rejuvenation waves, the
-// leader's closed control loop) with every region split across 3 shards.
-// The run must be byte-identical — full summary plus the SHA-256 of every
-// raw series — between tick-workers 1 and the fanned-out counts.  Unlike the
-// golden replay above, the tick-workers > 1 legs here genuinely execute
-// Engine.ParallelPhase: a cross-shard write, a misordered merge or a
+// leader's closed control loop) with every region split across 5 shards —
+// more shards than the fixed fan-out of 4, so one goroutine runs several
+// shards' phases, which the 3-shard figure4-eventloop never does.  The run
+// must be byte-identical (full summary plus the SHA-256 of every raw series)
+// at every EventWorkers count: a cross-shard write, a misordered merge or a
 // schedule-during-phase violation in the elasticity/standby-promotion
 // interplay shows up as a byte difference (or a panic).
 func TestFigureShardedParallelEquivalence(t *testing.T) {
@@ -106,49 +33,38 @@ func TestFigureShardedParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(workers int) *Result {
+	run := func(workers int) []byte {
 		sc, err := BuildScenario("figure4", 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Horizon = goldenHorizon
 		for i := range sc.Regions {
-			sc.Regions[i].Region.Shards = 3
+			sc.Regions[i].Region.Shards = 5
 		}
-		sc.VMC.TickWorkers = workers
+		sc.EventWorkers = workers
 		res, err := Run(sc, np)
 		if err != nil {
-			t.Fatalf("tick-workers=%d: %v", workers, err)
+			t.Fatalf("EventWorkers=%d: %v", workers, err)
 		}
-		return res
+		return eventLoopFingerprint(t, res)
 	}
-	var want []byte
-	for _, workers := range tickWorkerCounts() {
-		g, err := goldenFromResult(build(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("sharded figure4 at tick-workers=%d diverged from tick-workers=%d:\n%s\nvs\n%s",
-				workers, tickWorkerCounts()[0], got, want)
+	counts := eventLoopWorkerCounts()
+	ref := run(counts[0])
+	for _, workers := range counts[1:] {
+		if got := run(workers); !bytes.Equal(got, ref) {
+			t.Fatalf("5-shard figure4 at EventWorkers=%d diverged from EventWorkers=%d\n--- got ---\n%s\n--- want ---\n%s",
+				workers, counts[0], got, ref)
 		}
 	}
 }
 
 // TestShardedTickWorkersEquivalence is the multi-shard half of the contract:
 // the 16-shard megaregion produces byte-identical raw series and identical
-// per-shard statistics whether the control tick runs sequentially or fanned
-// out across goroutines.  Under -race with GOMAXPROCS > 1 this is also the
-// mutation audit of the parallel phase: any cross-shard write would trip the
-// detector.
+// per-shard statistics whether the control tick's per-shard phase runs
+// inline or fanned out across goroutines.  Under -race with GOMAXPROCS > 1
+// this is also the mutation audit of the parallel phase: any cross-shard
+// write would trip the detector.
 func TestShardedTickWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 5x10^3-VM scenario once per worker count")
@@ -157,21 +73,22 @@ func TestShardedTickWorkersEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := eventLoopWorkerCounts()
 	var wantCSV []byte
 	var wantStats map[string][]cloudsim.Stats
-	for _, workers := range tickWorkerCounts() {
+	for _, workers := range counts {
 		sc, err := BuildScenario("megaregion-sharded", 42)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Horizon = 4 * simclock.Minute
-		sc.VMC.TickWorkers = workers
+		sc.EventWorkers = workers
 		mgr, err := NewManager(sc, np)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := mgr.Run(sc.Horizon); err != nil {
-			t.Fatalf("tick-workers=%d: %v", workers, err)
+			t.Fatalf("EventWorkers=%d: %v", workers, err)
 		}
 		var csv bytes.Buffer
 		if err := mgr.Recorder().WriteAllCSV(&csv); err != nil {
@@ -179,17 +96,17 @@ func TestShardedTickWorkersEquivalence(t *testing.T) {
 		}
 		stats := mgr.ShardStats()
 		if len(stats["megaregion"]) != MegaregionShards {
-			t.Fatalf("tick-workers=%d: %d shard stats, want %d", workers, len(stats["megaregion"]), MegaregionShards)
+			t.Fatalf("EventWorkers=%d: %d shard stats, want %d", workers, len(stats["megaregion"]), MegaregionShards)
 		}
 		if wantCSV == nil {
 			wantCSV, wantStats = csv.Bytes(), stats
 			continue
 		}
 		if !bytes.Equal(csv.Bytes(), wantCSV) {
-			t.Fatalf("tick-workers=%d produced different series bytes than tick-workers=1", workers)
+			t.Fatalf("EventWorkers=%d produced different series bytes than EventWorkers=%d", workers, counts[0])
 		}
 		if !reflect.DeepEqual(stats, wantStats) {
-			t.Fatalf("tick-workers=%d produced different ShardStats than tick-workers=1:\n%+v\n%+v", workers, stats, wantStats)
+			t.Fatalf("EventWorkers=%d produced different ShardStats than EventWorkers=%d:\n%+v\n%+v", workers, counts[0], stats, wantStats)
 		}
 	}
 }
